@@ -36,7 +36,6 @@ from ..pipeline import (
     GuidedPipeline,
     classic_fit,
     guided_fit,
-    pipeline_predict,
     save,
 )
 from ..thresholding import (
@@ -449,8 +448,3 @@ def _write_bundle(result: ExperimentResult) -> None:
         save(result.guided, out / "pipeline_guided.zip")
     if result.classic is not None:
         save(result.classic, out / "pipeline_classic.zip")
-
-
-def predict_with_pipeline(pipeline, data: FeatureMatrix):
-    """Convenience wrapper kept next to the driver for CLI use."""
-    return pipeline_predict(pipeline, data)

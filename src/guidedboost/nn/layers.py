@@ -31,7 +31,9 @@ class Linear:
             )
         if train:
             self._x = x
-        return x @ self.W + self.b
+        out = x @ self.W
+        out += self.b
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -72,34 +74,48 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased, matches the backward formula
+            # x.mean(0) and x.var(0) spelled out, with the variance reusing
+            # the centred batch instead of taking the mean again: same bits
+            n = x.shape[0]
+            mean = np.add.reduce(x, 0) / n
+            xhat = x - mean
+            var = np.add.reduce(xhat * xhat, 0) / n  # biased, matches the backward formula
             self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv_std
+            xhat *= inv_std
             self._xhat = xhat
             self._inv_std = inv_std
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv_std
+            xhat = x - self.running_mean
+            xhat *= inv_std
             self._xhat = None
             self._inv_std = None
-        return self.gamma * xhat + self.beta
+        out = self.gamma * xhat
+        out += self.beta
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._xhat is None:
             raise RuntimeError("BatchNorm.backward: no training-mode forward cached")
         xhat, inv_std = self._xhat, self._inv_std
         n = grad.shape[0]
-        self.g_gamma = (grad * xhat).sum(axis=0)
+        tmp = grad * xhat
+        self.g_gamma = tmp.sum(axis=0)
         self.g_beta = grad.sum(axis=0)
+        # inv_std / n * (n * gx_hat - sum(gx_hat) - xhat * sum(gx_hat * xhat)),
+        # evaluated in that order on two buffers
         gx_hat = grad * self.gamma
-        return (
-            inv_std
-            / n
-            * (n * gx_hat - gx_hat.sum(axis=0) - xhat * (gx_hat * xhat).sum(axis=0))
-        )
+        np.multiply(gx_hat, xhat, out=tmp)
+        proj = tmp.sum(axis=0)
+        total = gx_hat.sum(axis=0)
+        gx_hat *= n
+        gx_hat -= total
+        np.multiply(xhat, proj, out=tmp)
+        gx_hat -= tmp
+        gx_hat *= inv_std / n
+        return gx_hat
 
     def parameters(self):
         return [self.gamma, self.beta]

@@ -31,32 +31,38 @@ def supcon_loss(
         raise ValueError("supcon_loss: need at least 2 samples in the batch")
     if temperature <= 0.0:
         raise ValueError("supcon_loss: temperature must be positive")
-    S = (Z @ Z.T) / temperature
-    off = ~np.eye(n, dtype=bool)
-    same = (y[:, None] == y[None, :]) & off
+    S = Z @ Z.T
+    S /= temperature
+    diag = np.arange(n)
+    same = y[:, None] == y[None, :]
+    same[diag, diag] = False
     pos_counts = same.sum(axis=1)
 
-    # row-wise logsumexp over non-anchor entries, max-shifted for stability
-    S_off = np.where(off, S, -np.inf)
-    row_max = S_off.max(axis=1)
-    exp_shift = np.where(off, np.exp(S - row_max[:, None]), 0.0)
+    # row-wise logsumexp over non-anchor entries, max-shifted for stability;
+    # the -inf diagonal drops out of the max and becomes exactly 0 after exp
+    S[diag, diag] = -np.inf
+    row_max = S.max(axis=1)
+    exp_shift = S - row_max[:, None]
+    np.exp(exp_shift, out=exp_shift)
     denom = exp_shift.sum(axis=1)
     lse = row_max + np.log(denom)
 
     active = pos_counts > 0
     per_anchor = np.zeros(n)
     if active.any():
-        pos_term = np.where(same, S - lse[:, None], 0.0).sum(axis=1)
+        S -= lse[:, None]
+        pos_term = np.where(same, S, 0.0).sum(axis=1)
         per_anchor[active] = -pos_term[active] / pos_counts[active]
     loss = float(per_anchor.mean())
 
     # dL/dS_ij = (1/n) (softmax_ij - [j in P(i)]/|P(i)|) for active anchors
-    softmax = exp_shift / denom[:, None]
-    T = np.zeros((n, n))
-    T[active] = softmax[active]
-    T[active] -= same[active] / pos_counts[active][:, None]
+    T = exp_shift
+    T /= denom[:, None]
+    T -= same / np.maximum(pos_counts, 1)[:, None]
+    T[~active] = 0.0
     T /= n
-    grad = (T + T.T) @ Z / temperature
+    grad = (T + T.T) @ Z
+    grad /= temperature
     return loss, grad
 
 

@@ -56,15 +56,14 @@ def stratified_batches(
     labels = np.asarray(labels)
     n = len(labels)
     n_batches = max(1, -(-n // batch_size))
-    buckets: list[list[int]] = [[] for _ in range(n_batches)]
-    slot = 0
+    # class 1 then class 0, each shuffled, dealt round-robin: batch j holds
+    # every n_batches-th entry of the concatenation starting at j
+    parts = []
     for cls in (1, 0):
         members = np.flatnonzero(labels == cls)
-        members = members[rng.permutation(len(members))]
-        for m in members:
-            buckets[slot % n_batches].append(int(m))
-            slot += 1
-    batches = [np.array(b, dtype=np.int64) for b in buckets if b]
+        parts.append(members[rng.permutation(len(members))])
+    order = np.concatenate(parts)
+    batches = [b for b in (order[j::n_batches] for j in range(n_batches)) if len(b)]
     if len(batches) > 1:
         last = batches[-1]
         if len(last) < 2 or len(np.unique(labels[last])) < 2:
@@ -91,6 +90,9 @@ def train_model(
     evaluated in eval mode over the whole set each epoch; when the validation
     set is too small to define the loss (fewer than 2 samples) the training
     set is scored instead. Returns the parameters from the best epoch.
+
+    Raises:
+        FloatingPointError: the monitored loss is not finite, naming the epoch.
     """
     cfg = cfg or TrainConfig()
     if data.n_samples == 0:
@@ -119,6 +121,10 @@ def train_model(
         _, proj_val = model.forward(monitor.values, train=False)
         val_loss, _ = supcon_loss(proj_val, monitor.labels, cfg.temperature)
         epochs_run = epoch + 1
+        if not np.isfinite(val_loss):
+            raise FloatingPointError(
+                f"train_model: monitored loss is {val_loss} at epoch {epochs_run}"
+            )
         if val_loss < best - IMPROVE_TOL:
             best = val_loss
             best_params = model.snapshot()
@@ -146,6 +152,9 @@ def train_auxiliary(
     Cross-entropy against one-hot targets; early stopping maximises accuracy
     on the validation embeddings (training accuracy when no validation rows
     exist). Returns the parameters from the best epoch.
+
+    Raises:
+        FloatingPointError: a training batch loss is not finite, naming the epoch.
     """
     X = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -171,7 +180,11 @@ def train_auxiliary(
         rng = _epoch_rng(seed_list, epoch)
         for batch in stratified_batches(y, batch_size, rng):
             out = head.forward(X[batch], train=True)
-            _, grad = bce_loss(out, onehot[batch])
+            loss, grad = bce_loss(out, onehot[batch])
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"train_auxiliary: batch loss is {loss} at epoch {epoch + 1}"
+                )
             head.mlp.backward(grad)
             head.mlp.sgd_step(cfg.learning_rate)
         acc = float((head.predict(Xv) == yv).mean())

@@ -3,9 +3,11 @@
 Layout: ``manifest.json`` describes every component (kinds, widths, seeds,
 thresholds, feature indices) and an ``arrays`` table mapping logical names to
 raw little-endian blobs under ``arrays/``. Parameters are ``<f8``, integer
-tables ``<i8``. Loading validates the format tag, the version, and every
-blob's byte length, so truncation and foreign files fail with a diagnostic
-instead of garbage predictions.
+tables ``<i8``. Members are stored uncompressed: float64 weights barely
+deflate, and compressing them cost most of a save. Archives written with
+deflated members, as earlier releases did, still load. Loading validates the
+format tag, the version, and every blob's byte length, so truncation and
+foreign files fail with a diagnostic instead of garbage predictions.
 """
 from __future__ import annotations
 
@@ -217,7 +219,7 @@ def save(pipeline, path) -> None:
     manifest["auxiliary"] = _store_auxiliary(store, pipeline.auxiliary)
     manifest["arrays"] = store.entries
 
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         zf.writestr("manifest.json", json.dumps(manifest, indent=2))
         for name, entry in store.entries.items():
             zf.writestr(entry["file"], store.blobs[name])

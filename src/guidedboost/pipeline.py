@@ -9,6 +9,7 @@ auxiliary head decides.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,15 @@ def concat_embeddings(
     return np.concatenate(blocks, axis=1)
 
 
+@contextmanager
+def _training(network: str):
+    """Name the failing network in a non-finite training error."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{network}: {exc}") from exc
+
+
 def _check_report_alignment(report: PredictionReport, data: FeatureMatrix, what: str):
     if not np.array_equal(report.ids, data.ids):
         raise ValueError(f"{what}: report ids do not align with the dataset's ids")
@@ -159,9 +169,12 @@ def guided_fit(
             val_k = candidate if candidate.n_samples >= 2 else difficult_val
         elif difficult_val.n_samples:
             val_k = difficult_val
-        models.append(
-            train_model(train_k, val_k, cfg.train, cfg.encoder, cfg.projection, seed=[seed, k])
-        )
+        with _training(f"guided_fit: model {k}"):
+            models.append(
+                train_model(
+                    train_k, val_k, cfg.train, cfg.encoder, cfg.projection, seed=[seed, k]
+                )
+            )
     models_t = tuple(models)
 
     width = cfg.encoder.out_width
@@ -181,20 +194,22 @@ def guided_fit(
             labels=np.empty(0, dtype=np.int64),
             ids=np.empty(0, dtype=np.int64),
         )
-    model_5 = train_model(
-        train_5, val_5, cfg.train, cfg.encoder, cfg.projection, seed=[seed, _EMBEDDER_TAG]
-    )
+    with _training("guided_fit: model 5"):
+        model_5 = train_model(
+            train_5, val_5, cfg.train, cfg.encoder, cfg.projection, seed=[seed, _EMBEDDER_TAG]
+        )
 
     emb_train = model_5.embed(train_5.values)
     emb_val = model_5.embed(val_5.values) if val_5.n_samples else np.empty((0, model_5.embedding_width))
-    auxiliary = train_auxiliary(
-        emb_train,
-        difficult_train.labels,
-        emb_val,
-        val_5.labels,
-        cfg.train,
-        seed=[seed, _AUX_TAG],
-    )
+    with _training("guided_fit: auxiliary head"):
+        auxiliary = train_auxiliary(
+            emb_train,
+            difficult_train.labels,
+            emb_val,
+            val_5.labels,
+            cfg.train,
+            seed=[seed, _AUX_TAG],
+        )
     return GuidedStage(models_1_to_4=models_t, model_5=model_5, auxiliary=auxiliary)
 
 
@@ -218,10 +233,11 @@ def classic_fit(
     if len(np.unique(difficult_train.labels)) < 2:
         raise ValueError("classic_fit: difficult training set contains a single class")
     seed = cfg.train.seed if seed is None else seed
-    model = train_model(
-        difficult_train, difficult_val, cfg.train, cfg.encoder, cfg.projection,
-        seed=[seed, _EMBEDDER_TAG],
-    )
+    with _training("classic_fit: classic model"):
+        model = train_model(
+            difficult_train, difficult_val, cfg.train, cfg.encoder, cfg.projection,
+            seed=[seed, _EMBEDDER_TAG],
+        )
     emb_train = model.embed(difficult_train.values)
     if difficult_val.n_samples:
         emb_val = model.embed(difficult_val.values)
@@ -229,9 +245,11 @@ def classic_fit(
     else:
         emb_val = np.empty((0, model.embedding_width))
         val_labels = np.empty(0, dtype=np.int64)
-    auxiliary = train_auxiliary(
-        emb_train, difficult_train.labels, emb_val, val_labels, cfg.train, seed=[seed, _AUX_TAG]
-    )
+    with _training("classic_fit: auxiliary head"):
+        auxiliary = train_auxiliary(
+            emb_train, difficult_train.labels, emb_val, val_labels, cfg.train,
+            seed=[seed, _AUX_TAG],
+        )
     return ClassicStage(model=model, auxiliary=auxiliary)
 
 

@@ -129,3 +129,67 @@ def test_l2_normalize_values_and_gradients():
     layer.forward(x, True)
     gx = layer.backward(R)
     assert relative_error(gx, numeric_gradient(lambda: loss_through(layer, x, R), x)) < TOL
+
+
+# ------------------------------------------- reference formulas, bit for bit
+
+def _reference_batchnorm_train(layer, x):
+    """Train-mode forward written with x.mean/x.var, as first implemented."""
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    running_mean = layer.momentum * layer.running_mean + (1.0 - layer.momentum) * mean
+    running_var = layer.momentum * layer.running_var + (1.0 - layer.momentum) * var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = (x - mean) * inv_std
+    return layer.gamma * xhat + layer.beta, running_mean, running_var, xhat, inv_std
+
+
+def _reference_batchnorm_backward(gamma, xhat, inv_std, grad):
+    n = grad.shape[0]
+    g_gamma = (grad * xhat).sum(axis=0)
+    g_beta = grad.sum(axis=0)
+    gx_hat = grad * gamma
+    gx = inv_std / n * (n * gx_hat - gx_hat.sum(axis=0) - xhat * (gx_hat * xhat).sum(axis=0))
+    return gx, g_gamma, g_beta
+
+
+def _bit_cases(seed, count=60):
+    """Random batches of assorted size, width, scale and offset."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, w = int(rng.integers(1, 70)), int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        yield rng, rng.normal(size=(n, w)) * scale + rng.normal(size=w) * 10.0 * scale
+
+
+def test_batchnorm_matches_reference_formulas_bit_for_bit():
+    for rng, x in _bit_cases(seed=7):
+        w = x.shape[1]
+        layer = BatchNorm(w)
+        layer.gamma[:] = rng.normal(size=w)
+        layer.beta[:] = rng.normal(size=w)
+        layer.running_mean[:] = rng.normal(size=w)
+        layer.running_var[:] = rng.uniform(0.5, 2.0, size=w)
+        out, running_mean, running_var, xhat, inv_std = _reference_batchnorm_train(layer, x)
+        assert np.array_equal(layer.forward(x, True), out)
+        assert np.array_equal(layer.running_mean, running_mean)
+        assert np.array_equal(layer.running_var, running_var)
+
+        grad = rng.normal(size=x.shape)
+        gx, g_gamma, g_beta = _reference_batchnorm_backward(layer.gamma, xhat, inv_std, grad)
+        assert np.array_equal(layer.backward(grad), gx)
+        assert np.array_equal(layer.g_gamma, g_gamma)
+        assert np.array_equal(layer.g_beta, g_beta)
+
+        expected = layer.gamma * (
+            (x - layer.running_mean) * (1.0 / np.sqrt(layer.running_var + layer.eps))
+        ) + layer.beta
+        assert np.array_equal(layer.forward(x, False), expected)
+
+
+def test_linear_forward_matches_reference_bit_for_bit():
+    for rng, x in _bit_cases(seed=8, count=30):
+        layer = Linear(x.shape[1], int(rng.integers(1, 20)), rng)
+        layer.b[:] = rng.normal(size=layer.b.shape)
+        for train in (True, False):
+            assert np.array_equal(layer.forward(x, train), x @ layer.W + layer.b)

@@ -106,3 +106,49 @@ def test_bce_clips_saturated_outputs():
     assert np.all(np.isfinite(grad))
     with pytest.raises(ValueError):
         bce_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def reference_supcon(projections, labels, temperature):
+    """The eye-mask and np.where formulation, kept as a bitwise reference."""
+    Z = np.asarray(projections, dtype=np.float64)
+    y = np.asarray(labels)
+    n = Z.shape[0]
+    S = (Z @ Z.T) / temperature
+    off = ~np.eye(n, dtype=bool)
+    same = (y[:, None] == y[None, :]) & off
+    pos_counts = same.sum(axis=1)
+    S_off = np.where(off, S, -np.inf)
+    row_max = S_off.max(axis=1)
+    exp_shift = np.where(off, np.exp(S - row_max[:, None]), 0.0)
+    denom = exp_shift.sum(axis=1)
+    lse = row_max + np.log(denom)
+    active = pos_counts > 0
+    per_anchor = np.zeros(n)
+    if active.any():
+        pos_term = np.where(same, S - lse[:, None], 0.0).sum(axis=1)
+        per_anchor[active] = -pos_term[active] / pos_counts[active]
+    loss = float(per_anchor.mean())
+    softmax = exp_shift / denom[:, None]
+    T = np.zeros((n, n))
+    T[active] = softmax[active]
+    T[active] -= same[active] / pos_counts[active][:, None]
+    T /= n
+    return loss, (T + T.T) @ Z / temperature
+
+
+def test_supcon_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for case in range(120):
+        n, d = int(rng.integers(2, 90)), int(rng.integers(1, 12))
+        Z = unit_rows(rng, n, d)
+        y = rng.integers(0, 2, n)
+        if case % 5 == 0:
+            y[:] = case % 2  # one class: every anchor active
+        elif case % 7 == 0:
+            y[:] = 0
+            y[int(rng.integers(n))] = 1  # a lone anchor without positives
+        tau = float(rng.choice([0.07, 0.5, 1.0]))
+        loss, grad = supcon_loss(Z, y, tau)
+        ref_loss, ref_grad = reference_supcon(Z, y, tau)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)

@@ -72,6 +72,48 @@ def test_stratified_batches_determinism():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+
+def reference_stratified_batches(labels, batch_size, rng):
+    """The element-by-element round-robin deal, kept as a bitwise reference."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    n_batches = max(1, -(-n // batch_size))
+    buckets = [[] for _ in range(n_batches)]
+    slot = 0
+    for cls in (1, 0):
+        members = np.flatnonzero(labels == cls)
+        members = members[rng.permutation(len(members))]
+        for m in members:
+            buckets[slot % n_batches].append(int(m))
+            slot += 1
+    batches = [np.array(b, dtype=np.int64) for b in buckets if b]
+    if len(batches) > 1:
+        last = batches[-1]
+        if len(last) < 2 or len(np.unique(labels[last])) < 2:
+            batches[-2] = np.concatenate([batches[-2], last])
+            batches.pop()
+    return batches
+
+
+def test_stratified_batches_match_reference_deal():
+    rng = np.random.default_rng(2024)
+    cases = [(np.array([1] * 3 + [0] * 7), 3), (np.zeros(9, dtype=np.int64), 4)]
+    for _ in range(600):
+        n = int(rng.integers(0, 150))
+        share = rng.choice([0.0, 1.0, rng.uniform(0.02, 0.98)])
+        cases.append(((rng.random(n) < share).astype(np.int64), int(rng.integers(1, 40))))
+    merged = single_class = 0
+    for i, (labels, batch_size) in enumerate(cases):
+        got = stratified_batches(labels, batch_size, np.random.default_rng([i, 7]))
+        want = reference_stratified_batches(labels, batch_size, np.random.default_rng([i, 7]))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        merged += 0 < len(want) < -(-len(labels) // batch_size)
+        single_class += len(labels) > 0 and len(np.unique(labels)) == 1
+    assert merged >= 50 and single_class >= 50
+
+
 def _split(data, n_val):
     train = data.subset(np.arange(data.n_samples - n_val))
     val = data.subset(np.arange(data.n_samples - n_val, data.n_samples))
@@ -130,6 +172,20 @@ def test_train_model_validation():
         train_model(single, empty, fast_cfg(), **TINY)
 
 
+def _overflowing(data):
+    """Finite features large enough that the first layer's sums turn NaN.
+
+    FeatureMatrix rejects NaN itself, so this is how NaN reaches training.
+    """
+    return FeatureMatrix(values=data.values * 1e307, labels=data.labels, ids=data.ids)
+
+
+def test_train_model_raises_on_non_finite_loss():
+    train, val = _split(_overflowing(make_blobs(n_per_class=10, n_features=3, seed=6)), 4)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at epoch 1$"):
+        train_model(train, val, fast_cfg(), **TINY)
+
+
 def _embedding_problem(seed, n=30, d=4):
     rng = np.random.default_rng(seed)
     X = np.vstack([rng.normal(-1.0, 0.4, size=(n // 2, d)), rng.normal(1.0, 0.4, size=(n // 2, d))])
@@ -165,6 +221,12 @@ def test_train_auxiliary_validation():
         train_auxiliary(X, np.ones(len(X), dtype=int), X, y, fast_cfg())
     with pytest.raises(ValueError):
         train_auxiliary(X, y[:-1], X, y, fast_cfg())
+
+
+def test_train_auxiliary_raises_on_non_finite_loss():
+    X, y = _embedding_problem(6)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at epoch 1$"):
+        train_auxiliary(X * 1e308, y, X, y, fast_cfg())
 
 
 def test_train_auxiliary_determinism():

@@ -151,6 +151,33 @@ def test_classic_round_trip(tmp_path):
     assert np.array_equal(r1, r2)
 
 
+def test_save_stores_members_uncompressed(tmp_path):
+    data, report = _data_and_report(seed=3)
+    path = tmp_path / "pipe.zip"
+    save(_guided_pipeline("logistic", data, report), path)
+    with zipfile.ZipFile(path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+
+
+def test_deflated_archive_still_loads(tmp_path):
+    data, report = _data_and_report(seed=3)
+    pipe = _guided_pipeline("logistic", data, report)
+    path = tmp_path / "pipe.zip"
+    save(pipe, path)
+    deflated = tmp_path / "deflated.zip"
+    with zipfile.ZipFile(path) as zin, zipfile.ZipFile(
+        deflated, "w", compression=zipfile.ZIP_DEFLATED
+    ) as zout:
+        for info in zin.infolist():
+            zout.writestr(info.filename, zin.read(info.filename))
+    with zipfile.ZipFile(deflated) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    labels, routes = pipeline_predict(load(deflated), data)
+    want_labels, want_routes = pipeline_predict(pipe, data)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(routes, want_routes)
+
+
 # ------------------------------------------------------------ corruption
 
 def _saved(tmp_path):

@@ -120,6 +120,19 @@ def test_classic_fit_shapes_and_determinism():
         classic_fit(_empty_like(data), _empty_like(data), CFG)
 
 
+def test_non_finite_training_names_the_model_and_epoch():
+    data, report = _difficult_setup()
+    # finite features whose first-layer sums overflow to NaN
+    huge = FeatureMatrix(
+        values=data.values / np.abs(data.values).max() * 1e308, labels=data.labels, ids=data.ids
+    )
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^guided_fit: model 1: .* at epoch 1$"):
+            guided_fit(huge, report, _empty_like(data), CFG)
+        with pytest.raises(FloatingPointError, match=r"^classic_fit: classic model: .* epoch 1$"):
+            classic_fit(huge, _empty_like(data), CFG)
+
+
 def _fitted_guided_pipeline(seed=0):
     data, report = _difficult_setup(seed=seed)
     stage = guided_fit(data, report, _empty_like(data), CFG, seed=seed)
