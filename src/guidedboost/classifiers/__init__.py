@@ -6,11 +6,10 @@ from .adapters import (
     ScoreRange,
     SvmAdapter,
     decision_to_probability,
-    error_proxy_probabilities,
     train_error_proxy,
 )
 from .forest import ForestConfig, ForestModel, train_random_forest
-from .knn import NearestNeighborModel, knn_predict
+from .knn import NearestNeighborModel
 from .linear import LinearConfig, LinearModel, SvmConfig, train_linear_svm, train_logistic
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "SvmAdapter",
     "SvmConfig",
     "decision_to_probability",
-    "error_proxy_probabilities",
-    "knn_predict",
     "train_error_proxy",
     "train_linear_svm",
     "train_logistic",

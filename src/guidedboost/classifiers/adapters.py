@@ -98,13 +98,6 @@ def train_error_proxy(
     return train_random_forest(proxy, cfg)
 
 
-def error_proxy_probabilities(
-    data: FeatureMatrix, base_report: PredictionReport, cfg: ForestConfig | None = None
-) -> np.ndarray:
-    """Error probability of each sample in data under a freshly trained proxy."""
-    return train_error_proxy(data, base_report, cfg).predict_proba(data.values)
-
-
 class LogisticAdapter:
     """Identity adapter for a probability-native logistic base."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import FeatureMatrix, PredictionReport, prediction_report
+from ..data import FeatureMatrix
 
 _CHUNK = 256
 
@@ -70,7 +70,3 @@ class NearestNeighborModel:
         """Degenerate probabilities: 1.0 where the neighbour is positive."""
         return self.predict(X).astype(np.float64)
 
-
-def knn_predict(model: NearestNeighborModel, queries: FeatureMatrix) -> PredictionReport:
-    """Label every query after its closest training sample."""
-    return prediction_report(model.predict_proba(queries.values), queries.labels, queries.ids)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import FeatureMatrix
+from ..nn.layers import sigmoid
 
 
 @dataclass
@@ -54,17 +55,12 @@ class LinearModel:
         """Positive-class probability; defined for logistic models only."""
         if self.kind != "logistic":
             raise ValueError("predict_proba is only defined for logistic models")
-        return _sigmoid(self.decision_scores(X))
+        return _probability(self.decision_scores(X))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # numerically stable; outputs clipped to stay strictly inside (0, 1)
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+def _probability(z: np.ndarray) -> np.ndarray:
+    # clipped to stay strictly inside (0, 1)
+    return np.clip(sigmoid(z), 1e-12, 1.0 - 1e-12)
 
 
 def _check_two_classes(data: FeatureMatrix, what: str):
@@ -88,7 +84,7 @@ def train_logistic(data: FeatureMatrix, cfg: LinearConfig | None = None) -> Line
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(cfg.epochs):
-        p = _sigmoid(X @ w + b)
+        p = _probability(X @ w + b)
         err = p - y
         grad_w = X.T @ err / n + cfg.l2 * w
         grad_b = float(err.mean())

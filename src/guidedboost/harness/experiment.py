@@ -30,14 +30,9 @@ from ..data import (
     confusion_partition,
     prediction_report,
 )
-from ..metrics import EvaluationReport, delta_errors, errors_reduction, evaluate
-from ..pipeline import (
-    ClassicPipeline,
-    GuidedPipeline,
-    classic_fit,
-    guided_fit,
-    save,
-)
+from ..metrics import EvaluationReport, combined_report, delta_errors, errors_reduction, evaluate
+from ..persistence import save
+from ..pipeline import Pipeline, classic_fit, guided_fit
 from ..thresholding import (
     CurvePoint,
     ToleratedCounts,
@@ -255,8 +250,8 @@ class ExperimentResult:
     curves: dict[str, list[CurvePoint]]
     assignments: dict[str, SplitAssignment]
     reports: dict[str, PredictionReport]
-    guided: GuidedPipeline | None
-    classic: ClassicPipeline | None
+    guided: Pipeline | None
+    classic: Pipeline | None
     skipped: str | None
     summary: dict = field(default_factory=dict)
 
@@ -265,12 +260,6 @@ def _subset_eval(report: PredictionReport, data: FeatureMatrix, ids, scope: str)
     wanted = np.array(sorted(ids), dtype=np.int64)
     pos = data.positions_of(wanted)
     return evaluate(report.predictions[pos], data.labels[pos], scope=scope)
-
-
-def _order_to(have: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Positions that reorder rows keyed by `have` ids into `want` id order."""
-    lookup = {int(i): k for k, i in enumerate(have)}
-    return np.array([lookup[int(i)] for i in want], dtype=np.int64)
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -314,40 +303,33 @@ def run_experiment(
             rows.append(_row("base", base_difficult))
 
     skipped = None
-    guided_pipeline = classic_pipeline = None
+    pipelines: dict[str, Pipeline | None] = {"guided": None, "classic": None}
     if difficult_train.n_samples == 0:
         skipped = "difficult training set is empty"
     elif len(np.unique(difficult_train.labels)) < 2:
         skipped = "difficult training set contains a single class"
     else:
-        if "guided" in variants:
-            with _stage("guided-retrain"):
-                train_report = _report_for(prep.adapter, difficult_train)
-                val_report = (
-                    _report_for(prep.adapter, difficult_val) if difficult_val.n_samples else None
-                )
-                stage_g = guided_fit(
-                    difficult_train, train_report, difficult_val, cfg.retrain,
-                    val_report=val_report, seed=cfg.seed,
-                )
-                guided_pipeline = GuidedPipeline(
+        def fit_guided():
+            train_report = _report_for(prep.adapter, difficult_train)
+            val_report = (
+                _report_for(prep.adapter, difficult_val) if difficult_val.n_samples else None
+            )
+            return guided_fit(
+                difficult_train, train_report, difficult_val, cfg.retrain,
+                val_report=val_report, seed=cfg.seed,
+            )
+
+        def fit_classic():
+            return classic_fit(difficult_train, difficult_val, cfg.retrain, seed=cfg.seed)
+
+        for name, fit in (("guided", fit_guided), ("classic", fit_classic)):
+            if name not in variants:
+                continue
+            with _stage(f"{name}-retrain"):
+                pipelines[name] = Pipeline(
                     base=prep.adapter,
                     thresholds=prep.thresholds,
-                    models_1_to_4=stage_g.models_1_to_4,
-                    model_5=stage_g.model_5,
-                    auxiliary=stage_g.auxiliary,
-                    n_raw_features=prep.data.n_features,
-                    feature_selection=prep.kept,
-                    metadata=_metadata(cfg),
-                )
-        if "classic" in variants:
-            with _stage("classic-retrain"):
-                stage_c = classic_fit(difficult_train, difficult_val, cfg.retrain, seed=cfg.seed)
-                classic_pipeline = ClassicPipeline(
-                    base=prep.adapter,
-                    thresholds=prep.thresholds,
-                    model=stage_c.model,
-                    auxiliary=stage_c.auxiliary,
+                    stage=fit(),
                     n_raw_features=prep.data.n_features,
                     feature_selection=prep.kept,
                     metadata=_metadata(cfg),
@@ -386,29 +368,18 @@ def run_experiment(
             easy_pos = test.positions_of(
                 np.array(sorted(assignments["test"].easy_ids), dtype=np.int64)
             )
-            diff_pos = test.positions_of(
-                np.array(sorted(assignments["test"].difficult_ids), dtype=np.int64)
-            )
-            for name, pipe in (("classic", classic_pipeline), ("guided", guided_pipeline)):
+            for name in ("classic", "guided"):
+                pipe = pipelines[name]
                 if pipe is None:
                     continue
-                aux_preds = pipe.auxiliary.predict(
-                    pipe.difficult_embeddings(difficult_test.values)
+                aux_preds = pipe.stage.auxiliary.predict(pipe.stage.embed(difficult_test.values))
+                comb_report, _, diff_report = combined_report(
+                    reports["test"].predictions[easy_pos], test.labels[easy_pos],
+                    aux_preds, difficult_test.labels,
                 )
-                diff_report = evaluate(aux_preds, difficult_test.labels, scope="difficult")
                 delta = delta_errors(base_difficult, diff_report)
                 reduction = errors_reduction(delta, base_difficult.total_errors)
                 rows.append(_row(name, diff_report, delta, reduction))
-
-                # difficult_test rows keep test order; realign defensively by id
-                merged_preds = np.concatenate(
-                    [reports["test"].predictions[easy_pos],
-                     aux_preds[_order_to(difficult_test.ids, test.ids[diff_pos])]]
-                )
-                merged_labels = np.concatenate(
-                    [test.labels[easy_pos], test.labels[diff_pos]]
-                )
-                comb_report = evaluate(merged_preds, merged_labels, scope="combined")
                 comb_delta = delta_errors(base_whole, comb_report)
                 comb_red = errors_reduction(comb_delta, base_whole.total_errors)
                 rows.append(_row(name, comb_report, comb_delta, comb_red))
@@ -423,8 +394,8 @@ def run_experiment(
         curves=prep.curves,
         assignments=assignments,
         reports=reports,
-        guided=guided_pipeline,
-        classic=classic_pipeline,
+        guided=pipelines["guided"],
+        classic=pipelines["classic"],
         skipped=skipped,
         summary=summary,
     )

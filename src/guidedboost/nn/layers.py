@@ -152,16 +152,22 @@ class ReLU:
         return []
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function: exp only ever sees non-positive input."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class Sigmoid:
     def __init__(self):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        out = sigmoid(x)
         if train:
             self._out = out
         return out

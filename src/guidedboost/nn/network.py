@@ -234,3 +234,6 @@ class AuxiliaryClassifier:
 
     def load_state_arrays(self, arrays: list[np.ndarray]):
         self.mlp.load_state_arrays(arrays)
+
+    def snapshot(self) -> list[np.ndarray]:
+        return self.mlp.snapshot()

@@ -1,7 +1,7 @@
 """Training loops: contrastive Model fitting and the auxiliary head.
 
-Both trainers share the same regime: mini-batch gradient descent, batch size
-n // batch_divisor (floored, never below 2), early stopping once the
+Both trainers run the same early-stopping loop: mini-batch gradient descent,
+batch size n // batch_divisor (floored, never below 2), a stop once the
 validation metric stops improving for `patience` consecutive epochs, and a
 best-snapshot restore at the end. All shuffling derives from the config seed.
 """
@@ -76,6 +76,36 @@ def _epoch_rng(seed_list: list[int], epoch: int) -> np.random.Generator:
     return np.random.default_rng(seed_list + [_BATCH_STREAM, epoch])
 
 
+def _early_stopping(net, labels: np.ndarray, cfg: TrainConfig, seed, step, score) -> float:
+    """Train net epoch by epoch, keeping the parameters of the best epoch.
+
+    Each epoch calls step(batch, epoch) on every stratified batch of a fresh
+    shuffle, then score(epoch) for a value to maximise (epochs count from 1).
+    The run stops after cfg.patience epochs without an improvement larger
+    than IMPROVE_TOL, or after cfg.max_epochs. Returns the best score.
+    """
+    batch_size = cfg.batch_size(len(labels))
+    seed_list = [int(s) for s in np.ravel(seed)]
+    best = -np.inf
+    best_params = net.snapshot()
+    stale = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        for batch in stratified_batches(labels, batch_size, _epoch_rng(seed_list, epoch - 1)):
+            step(batch, epoch)
+        value = score(epoch)
+        if value > best + IMPROVE_TOL:
+            best = value
+            best_params = net.snapshot()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    net.load_state_arrays(best_params)
+    net.train_state.epochs_run = epoch
+    return best
+
+
 def train_model(
     data: FeatureMatrix,
     val: FeatureMatrix,
@@ -94,7 +124,6 @@ def train_model(
     Raises:
         FloatingPointError: the monitored loss is not finite, naming the epoch.
     """
-    cfg = cfg or TrainConfig()
     if data.n_samples == 0:
         raise ValueError("train_model: training data is empty")
     if len(np.unique(data.labels)) < 2:
@@ -104,38 +133,24 @@ def train_model(
         data.n_features, enc_spec or encoder_spec(), proj_spec or projection_spec(), seed
     )
     monitor = val if val.n_samples >= 2 else data
-    batch_size = cfg.batch_size(data.n_samples)
-    seed_list = [int(s) for s in np.ravel(seed)]
 
-    best = np.inf
-    best_params = model.snapshot()
-    stale = 0
-    epochs_run = 0
-    for epoch in range(cfg.max_epochs):
-        rng = _epoch_rng(seed_list, epoch)
-        for batch in stratified_batches(data.labels, batch_size, rng):
-            _, proj = model.forward(data.values[batch], train=True)
-            _, grad = supcon_loss(proj, data.labels[batch], cfg.temperature)
-            model.backward(grad)
-            model.sgd_step(cfg.learning_rate)
+    def step(batch, epoch):
+        _, proj = model.forward(data.values[batch], train=True)
+        _, grad = supcon_loss(proj, data.labels[batch], cfg.temperature)
+        model.backward(grad)
+        model.sgd_step(cfg.learning_rate)
+
+    def score(epoch):
         _, proj_val = model.forward(monitor.values, train=False)
         val_loss, _ = supcon_loss(proj_val, monitor.labels, cfg.temperature)
-        epochs_run = epoch + 1
         if not np.isfinite(val_loss):
-            raise FloatingPointError(
-                f"train_model: monitored loss is {val_loss} at epoch {epochs_run}"
-            )
-        if val_loss < best - IMPROVE_TOL:
-            best = val_loss
-            best_params = model.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    model.load_state_arrays(best_params)
-    model.train_state.epochs_run = epochs_run
-    model.train_state.best_metric = float(best)
+            raise FloatingPointError(f"train_model: monitored loss is {val_loss} at epoch {epoch}")
+        # negation is exact, so maximising -loss keeps the improvement test's bits
+        return -val_loss
+
+    model.train_state.best_metric = float(
+        -_early_stopping(model, data.labels, cfg, seed, step, score)
+    )
     return model
 
 
@@ -169,35 +184,17 @@ def train_auxiliary(
     seed = cfg.seed if seed is None else seed
     head = AuxiliaryClassifier(X.shape[1], seed)
     onehot = np.eye(2)[y]
-    batch_size = cfg.batch_size(X.shape[0])
-    seed_list = [int(s) for s in np.ravel(seed)]
 
-    best = -np.inf
-    best_params = [a.copy() for a in head.state_arrays()]
-    stale = 0
-    epochs_run = 0
-    for epoch in range(cfg.max_epochs):
-        rng = _epoch_rng(seed_list, epoch)
-        for batch in stratified_batches(y, batch_size, rng):
-            out = head.forward(X[batch], train=True)
-            loss, grad = bce_loss(out, onehot[batch])
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"train_auxiliary: batch loss is {loss} at epoch {epoch + 1}"
-                )
-            head.mlp.backward(grad)
-            head.mlp.sgd_step(cfg.learning_rate)
-        acc = float((head.predict(Xv) == yv).mean())
-        epochs_run = epoch + 1
-        if acc > best + IMPROVE_TOL:
-            best = acc
-            best_params = [a.copy() for a in head.state_arrays()]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    head.load_state_arrays(best_params)
-    head.train_state.epochs_run = epochs_run
-    head.train_state.best_metric = float(best)
+    def step(batch, epoch):
+        out = head.forward(X[batch], train=True)
+        loss, grad = bce_loss(out, onehot[batch])
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"train_auxiliary: batch loss is {loss} at epoch {epoch}")
+        head.mlp.backward(grad)
+        head.mlp.sgd_step(cfg.learning_rate)
+
+    def score(epoch):
+        return float((head.predict(Xv) == yv).mean())
+
+    head.train_state.best_metric = float(_early_stopping(head, y, cfg, seed, step, score))
     return head

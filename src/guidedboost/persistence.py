@@ -2,7 +2,10 @@
 
 Layout: ``manifest.json`` describes every component (kinds, widths, seeds,
 thresholds, feature indices) and an ``arrays`` table mapping logical names to
-raw little-endian blobs under ``arrays/``. Parameters are ``<f8``, integer
+raw little-endian blobs under ``arrays/``. The manifest's ``kind`` is
+"guided" (pair models under ``models_1_to_4``, Model 5 under ``model_5``) or
+"classic" (the single Model under ``model``), read off the stage's pair
+models. Parameters are ``<f8``, integer
 tables ``<i8``. Members are stored uncompressed: float64 weights barely
 deflate, and compressing them cost most of a save. Archives written with
 deflated members, as earlier releases did, still load. Loading validates the
@@ -28,12 +31,15 @@ from .classifiers.knn import NearestNeighborModel
 from .classifiers.linear import LinearModel
 from .data import ThresholdPair
 from .nn.network import AuxiliaryClassifier, EncoderProjectionModel, MlpSpec
+from .pipeline import Pipeline, Stage
 
 FORMAT_TAG = "guidedboost-pipeline"
 FORMAT_VERSION = 1
 
 _FLOAT = "<f8"
 _INT = "<i8"
+# manifest key and blob prefix of the Model that feeds the auxiliary head
+_MODEL_KEYS = {"guided": ("model_5", "model5"), "classic": ("model", "model")}
 
 
 class _ArrayStore:
@@ -182,10 +188,8 @@ def _load_base(meta: dict, arrays: dict[str, np.ndarray]):
     raise ValueError(f"unknown base type {kind!r} in manifest")
 
 
-def save(pipeline, path) -> None:
+def save(pipeline: Pipeline, path) -> None:
     """Write the pipeline container; see the module docstring for the layout."""
-    from .pipeline import ClassicPipeline, GuidedPipeline  # deferred, circular import
-
     store = _ArrayStore()
     manifest: dict = {
         "format": FORMAT_TAG,
@@ -201,22 +205,16 @@ def save(pipeline, path) -> None:
     else:
         manifest["feature_selection"] = False
 
-    if isinstance(pipeline, GuidedPipeline):
-        manifest["kind"] = "guided"
-        models_meta = []
-        for k, model in enumerate(pipeline.models_1_to_4, start=1):
-            if model is None:
-                models_meta.append({"present": False})
-            else:
-                models_meta.append(_store_model(store, f"model{k}", model))
-        manifest["models_1_to_4"] = models_meta
-        manifest["model_5"] = _store_model(store, "model5", pipeline.model_5)
-    elif isinstance(pipeline, ClassicPipeline):
-        manifest["kind"] = "classic"
-        manifest["model"] = _store_model(store, "model", pipeline.model)
-    else:
-        raise ValueError(f"cannot serialize pipeline of type {type(pipeline).__name__}")
-    manifest["auxiliary"] = _store_auxiliary(store, pipeline.auxiliary)
+    stage = pipeline.stage
+    manifest["kind"] = kind = "guided" if stage.models_1_to_4 else "classic"
+    if stage.models_1_to_4:
+        manifest["models_1_to_4"] = [
+            {"present": False} if model is None else _store_model(store, f"model{k}", model)
+            for k, model in enumerate(stage.models_1_to_4, start=1)
+        ]
+    key, prefix = _MODEL_KEYS[kind]
+    manifest[key] = _store_model(store, prefix, stage.model)
+    manifest["auxiliary"] = _store_auxiliary(store, stage.auxiliary)
     manifest["arrays"] = store.entries
 
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
@@ -243,10 +241,8 @@ def _read_arrays(zf: zipfile.ZipFile, table: dict) -> dict[str, np.ndarray]:
     return out
 
 
-def load(path):
+def load(path) -> Pipeline:
     """Read a pipeline container written by save()."""
-    from .pipeline import ClassicPipeline, GuidedPipeline  # deferred, circular import
-
     try:
         zf = zipfile.ZipFile(path, "r")
     except (zipfile.BadZipFile, OSError) as exc:
@@ -269,26 +265,27 @@ def load(path):
             )
         arrays = _read_arrays(zf, manifest["arrays"])
 
-    thresholds = ThresholdPair(
-        th_n=float(manifest["thresholds"]["th_n"]), th_p=float(manifest["thresholds"]["th_p"])
+    kind = manifest["kind"]
+    if kind not in _MODEL_KEYS:
+        raise ValueError(f"unknown pipeline kind {kind!r} in manifest")
+    models_1_to_4 = tuple(
+        _load_model(meta, arrays, f"model{k}") if meta["present"] else None
+        for k, meta in enumerate(manifest["models_1_to_4"] if kind == "guided" else (), start=1)
     )
-    feature_selection = arrays["feature_selection"] if manifest["feature_selection"] else None
-    base = _load_base(manifest["base"], arrays)
-    auxiliary = _load_auxiliary(manifest["auxiliary"], arrays)
-    common = dict(
-        base=base,
-        thresholds=thresholds,
-        auxiliary=auxiliary,
+    key, prefix = _MODEL_KEYS[kind]
+    stage = Stage(
+        models_1_to_4=models_1_to_4,
+        model=_load_model(manifest[key], arrays, prefix),
+        auxiliary=_load_auxiliary(manifest["auxiliary"], arrays),
+    )
+    return Pipeline(
+        base=_load_base(manifest["base"], arrays),
+        thresholds=ThresholdPair(
+            th_n=float(manifest["thresholds"]["th_n"]),
+            th_p=float(manifest["thresholds"]["th_p"]),
+        ),
+        stage=stage,
         n_raw_features=int(manifest["n_raw_features"]),
-        feature_selection=feature_selection,
+        feature_selection=arrays["feature_selection"] if manifest["feature_selection"] else None,
         metadata=manifest.get("metadata", {}),
     )
-    if manifest["kind"] == "guided":
-        models = []
-        for k, meta in enumerate(manifest["models_1_to_4"], start=1):
-            models.append(_load_model(meta, arrays, f"model{k}") if meta["present"] else None)
-        model_5 = _load_model(manifest["model_5"], arrays, "model5")
-        return GuidedPipeline(models_1_to_4=tuple(models), model_5=model_5, **common)
-    if manifest["kind"] == "classic":
-        return ClassicPipeline(model=_load_model(manifest["model"], arrays, "model"), **common)
-    raise ValueError(f"unknown pipeline kind {manifest['kind']!r} in manifest")

@@ -1,10 +1,11 @@
 """End-to-end orchestration of the two-stage classifier.
 
-The fitted pipeline routes each sample by its base probability: outside the
-calibrated thresholds the base's own prediction stands; inside, the sample is
-embedded (through the four confusion-pair Models and the concatenation Model
-for the guided variant, or the single Model for the classic baseline) and the
-auxiliary head decides.
+A fitted `Pipeline` routes each sample by its base probability: outside the
+calibrated thresholds the base's own prediction stands; inside, the sample
+goes through the pipeline's retraining `Stage`, whose embedder feeds the
+auxiliary head. A guided stage embeds through the four confusion-pair Models
+and Model 5 on their concatenated embeddings; a classic stage (the baseline)
+through a single Model.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .nn.network import (
     projection_spec,
 )
 from .nn.training import TrainConfig, train_auxiliary, train_model
-from .persistence import load, save  # noqa: F401  (re-exported as part of this module's API)
 
 log = logging.getLogger(__name__)
 
@@ -51,29 +51,6 @@ class RetrainConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-@dataclass
-class GuidedStage:
-    """Trained components of the guided retraining stage."""
-
-    models_1_to_4: tuple[EncoderProjectionModel | None, ...]
-    model_5: EncoderProjectionModel
-    auxiliary: AuxiliaryClassifier
-
-    def __post_init__(self):
-        if len(self.models_1_to_4) != 4:
-            raise ValueError("GuidedStage: expected exactly four pair models")
-
-
-def _pair_ids(partition: ConfusionPartition, pair: tuple[str, str]) -> frozenset:
-    cells = {
-        "TP": partition.tp_ids,
-        "FP": partition.fp_ids,
-        "TN": partition.tn_ids,
-        "FN": partition.fn_ids,
-    }
-    return cells[pair[0]] | cells[pair[1]]
-
-
 def concat_embeddings(
     models: tuple[EncoderProjectionModel | None, ...], X: np.ndarray, block_width: int
 ) -> np.ndarray:
@@ -87,6 +64,53 @@ def concat_embeddings(
     for m in models:
         blocks.append(np.zeros((n, block_width)) if m is None else m.embed(X))
     return np.concatenate(blocks, axis=1)
+
+
+@dataclass
+class Stage:
+    """Trained retraining stage: an embedder feeding the auxiliary head.
+
+    Guided: ``models_1_to_4`` holds the four confusion-pair Models (None for a
+    skipped pairing) and ``model`` is Model 5, fed their concatenated
+    embeddings. Classic: ``models_1_to_4`` is empty and ``model`` is the single
+    Model, fed the samples themselves.
+    """
+
+    models_1_to_4: tuple[EncoderProjectionModel | None, ...]
+    model: EncoderProjectionModel
+    auxiliary: AuxiliaryClassifier
+
+    def __post_init__(self):
+        if len(self.models_1_to_4) not in (0, 4):
+            raise ValueError("Stage: expected four pair models (guided) or none (classic)")
+        if self.models_1_to_4:
+            widths = {m.embedding_width for m in self.models_1_to_4 if m is not None}
+            if len(widths) > 1:
+                raise ValueError("Stage: pair models disagree on embedding width")
+            block = widths.pop() if widths else self.model.input_width // 4
+            if self.model.input_width != 4 * block:
+                raise ValueError(
+                    f"Stage: model 5 input width {self.model.input_width} "
+                    f"is not 4 x block width {block}"
+                )
+        if self.auxiliary.input_width != self.model.embedding_width:
+            raise ValueError("Stage: auxiliary width does not match model output")
+
+    def embed(self, X: np.ndarray) -> np.ndarray:
+        """The embeddings the auxiliary head classifies."""
+        if self.models_1_to_4:
+            X = concat_embeddings(self.models_1_to_4, X, self.model.input_width // 4)
+        return self.model.embed(X)
+
+
+def _pair_ids(partition: ConfusionPartition, pair: tuple[str, str]) -> frozenset:
+    cells = {
+        "TP": partition.tp_ids,
+        "FP": partition.fp_ids,
+        "TN": partition.tn_ids,
+        "FN": partition.fn_ids,
+    }
+    return cells[pair[0]] | cells[pair[1]]
 
 
 @contextmanager
@@ -103,6 +127,37 @@ def _check_report_alignment(report: PredictionReport, data: FeatureMatrix, what:
         raise ValueError(f"{what}: report ids do not align with the dataset's ids")
 
 
+def _check_difficult(train: FeatureMatrix, val: FeatureMatrix, what: str):
+    if train.n_samples == 0:
+        raise ValueError(f"{what}: difficult training set is empty")
+    if len(np.unique(train.labels)) < 2:
+        raise ValueError(f"{what}: difficult training set contains a single class")
+    if val.n_features != train.n_features:
+        raise ValueError(f"{what}: validation feature width differs from training")
+
+
+def _fit_stage(
+    models_1_to_4: tuple[EncoderProjectionModel | None, ...],
+    train: FeatureMatrix,
+    val: FeatureMatrix,
+    cfg: RetrainConfig,
+    seed: int,
+    what: str,
+    model_name: str,
+) -> Stage:
+    """Train the embedding Model (seed tag 5) on train, then the head (tag 6)."""
+    with _training(f"{what}: {model_name}"):
+        model = train_model(
+            train, val, cfg.train, cfg.encoder, cfg.projection, seed=[seed, _EMBEDDER_TAG]
+        )
+    with _training(f"{what}: auxiliary head"):
+        auxiliary = train_auxiliary(
+            model.embed(train.values), train.labels, model.embed(val.values), val.labels,
+            cfg.train, seed=[seed, _AUX_TAG],
+        )
+    return Stage(models_1_to_4=models_1_to_4, model=model, auxiliary=auxiliary)
+
+
 def guided_fit(
     difficult_train: FeatureMatrix,
     base_report: PredictionReport,
@@ -110,7 +165,7 @@ def guided_fit(
     cfg: RetrainConfig,
     val_report: PredictionReport | None = None,
     seed: int | None = None,
-) -> GuidedStage:
+) -> Stage:
     """Train the guided stage on the difficult training subset.
 
     Models 1-4 are trained on the confusion-cell pairings TP'+FP', TN'+FN',
@@ -128,10 +183,7 @@ def guided_fit(
             model early-stops on its own confusion-pair validation subset.
         seed: master seed; defaults to cfg.train.seed.
     """
-    if difficult_train.n_samples == 0:
-        raise ValueError("guided_fit: difficult training set is empty")
-    if len(np.unique(difficult_train.labels)) < 2:
-        raise ValueError("guided_fit: difficult training set contains a single class")
+    _check_difficult(difficult_train, difficult_val, "guided_fit")
     _check_report_alignment(base_report, difficult_train, "guided_fit")
     if val_report is not None:
         _check_report_alignment(val_report, difficult_val, "guided_fit (validation)")
@@ -141,18 +193,9 @@ def guided_fit(
     val_partition = (
         confusion_partition(val_report, difficult_val.labels) if val_report is not None else None
     )
-    empty_val = FeatureMatrix(
-        values=np.empty((0, difficult_train.n_features)),
-        labels=np.empty(0, dtype=np.int64),
-        ids=np.empty(0, dtype=np.int64),
-    )
-    if difficult_val.n_samples and difficult_val.n_features != difficult_train.n_features:
-        raise ValueError("guided_fit: validation feature width differs from training")
-
     models: list[EncoderProjectionModel | None] = []
     for k, pair in enumerate(MODEL_PAIRS, start=1):
-        ids = _pair_ids(partition, pair)
-        train_k = difficult_train.subset_by_ids(ids)
+        train_k = difficult_train.subset_by_ids(_pair_ids(partition, pair))
         if len(np.unique(train_k.labels)) < 2:
             log.warning(
                 "guided_fit: model %d (%s+%s) skipped, confusion cell empty; "
@@ -163,12 +206,11 @@ def guided_fit(
             )
             models.append(None)
             continue
-        val_k = empty_val
+        val_k = difficult_val
         if val_partition is not None:
             candidate = difficult_val.subset_by_ids(_pair_ids(val_partition, pair))
-            val_k = candidate if candidate.n_samples >= 2 else difficult_val
-        elif difficult_val.n_samples:
-            val_k = difficult_val
+            if candidate.n_samples >= 2:
+                val_k = candidate
         with _training(f"guided_fit: model {k}"):
             models.append(
                 train_model(
@@ -177,48 +219,14 @@ def guided_fit(
             )
     models_t = tuple(models)
 
-    width = cfg.encoder.out_width
-    concat_train = concat_embeddings(models_t, difficult_train.values, width)
-    train_5 = FeatureMatrix(
-        values=concat_train, labels=difficult_train.labels, ids=difficult_train.ids
+    def concat(data: FeatureMatrix) -> FeatureMatrix:
+        values = concat_embeddings(models_t, data.values, cfg.encoder.out_width)
+        return FeatureMatrix(values=values, labels=data.labels, ids=data.ids)
+
+    return _fit_stage(
+        models_t, concat(difficult_train), concat(difficult_val), cfg, seed,
+        "guided_fit", "model 5",
     )
-    if difficult_val.n_samples:
-        val_5 = FeatureMatrix(
-            values=concat_embeddings(models_t, difficult_val.values, width),
-            labels=difficult_val.labels,
-            ids=difficult_val.ids,
-        )
-    else:
-        val_5 = FeatureMatrix(
-            values=np.empty((0, concat_train.shape[1])),
-            labels=np.empty(0, dtype=np.int64),
-            ids=np.empty(0, dtype=np.int64),
-        )
-    with _training("guided_fit: model 5"):
-        model_5 = train_model(
-            train_5, val_5, cfg.train, cfg.encoder, cfg.projection, seed=[seed, _EMBEDDER_TAG]
-        )
-
-    emb_train = model_5.embed(train_5.values)
-    emb_val = model_5.embed(val_5.values) if val_5.n_samples else np.empty((0, model_5.embedding_width))
-    with _training("guided_fit: auxiliary head"):
-        auxiliary = train_auxiliary(
-            emb_train,
-            difficult_train.labels,
-            emb_val,
-            val_5.labels,
-            cfg.train,
-            seed=[seed, _AUX_TAG],
-        )
-    return GuidedStage(models_1_to_4=models_t, model_5=model_5, auxiliary=auxiliary)
-
-
-@dataclass
-class ClassicStage:
-    """Trained components of the unguided baseline stage."""
-
-    model: EncoderProjectionModel
-    auxiliary: AuxiliaryClassifier
 
 
 def classic_fit(
@@ -226,93 +234,32 @@ def classic_fit(
     difficult_val: FeatureMatrix,
     cfg: RetrainConfig,
     seed: int | None = None,
-) -> ClassicStage:
+) -> Stage:
     """Train the baseline: one Model on all difficult samples, then the head."""
-    if difficult_train.n_samples == 0:
-        raise ValueError("classic_fit: difficult training set is empty")
-    if len(np.unique(difficult_train.labels)) < 2:
-        raise ValueError("classic_fit: difficult training set contains a single class")
+    _check_difficult(difficult_train, difficult_val, "classic_fit")
     seed = cfg.train.seed if seed is None else seed
-    with _training("classic_fit: classic model"):
-        model = train_model(
-            difficult_train, difficult_val, cfg.train, cfg.encoder, cfg.projection,
-            seed=[seed, _EMBEDDER_TAG],
-        )
-    emb_train = model.embed(difficult_train.values)
-    if difficult_val.n_samples:
-        emb_val = model.embed(difficult_val.values)
-        val_labels = difficult_val.labels
-    else:
-        emb_val = np.empty((0, model.embedding_width))
-        val_labels = np.empty(0, dtype=np.int64)
-    with _training("classic_fit: auxiliary head"):
-        auxiliary = train_auxiliary(
-            emb_train, difficult_train.labels, emb_val, val_labels, cfg.train,
-            seed=[seed, _AUX_TAG],
-        )
-    return ClassicStage(model=model, auxiliary=auxiliary)
+    return _fit_stage(
+        (), difficult_train, difficult_val, cfg, seed, "classic_fit", "classic model"
+    )
 
 
 @dataclass
-class GuidedPipeline:
-    """Complete guided predictor: base + thresholds + Models 1-5 + auxiliary."""
+class Pipeline:
+    """Complete predictor: base + thresholds + a guided or classic retraining stage."""
 
     base: object
     thresholds: ThresholdPair
-    models_1_to_4: tuple[EncoderProjectionModel | None, ...]
-    model_5: EncoderProjectionModel
-    auxiliary: AuxiliaryClassifier
+    stage: Stage
     n_raw_features: int
     feature_selection: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.models_1_to_4) != 4:
-            raise ValueError("GuidedPipeline: expected four pair models")
-        widths = {m.embedding_width for m in self.models_1_to_4 if m is not None}
-        if len(widths) > 1:
-            raise ValueError("GuidedPipeline: pair models disagree on embedding width")
-        block = widths.pop() if widths else self.model_5.input_width // 4
-        if self.model_5.input_width != 4 * block:
-            raise ValueError(
-                f"GuidedPipeline: model 5 input width {self.model_5.input_width} "
-                f"is not 4 x block width {block}"
-            )
-        if self.auxiliary.input_width != self.model_5.embedding_width:
-            raise ValueError("GuidedPipeline: auxiliary width does not match model 5 output")
-
-    def difficult_embeddings(self, X: np.ndarray) -> np.ndarray:
-        block = self.model_5.input_width // 4
-        return self.model_5.embed(concat_embeddings(self.models_1_to_4, X, block))
-
-
-@dataclass
-class ClassicPipeline:
-    """Complete baseline predictor: base + thresholds + one Model + auxiliary."""
-
-    base: object
-    thresholds: ThresholdPair
-    model: EncoderProjectionModel
-    auxiliary: AuxiliaryClassifier
-    n_raw_features: int
-    feature_selection: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.auxiliary.input_width != self.model.embedding_width:
-            raise ValueError("ClassicPipeline: auxiliary width does not match model output")
-
-    def difficult_embeddings(self, X: np.ndarray) -> np.ndarray:
-        return self.model.embed(X)
 
 
 ROUTE_BASE = "base"
 ROUTE_AUXILIARY = "auxiliary"
 
 
-def pipeline_predict(
-    pipeline: GuidedPipeline | ClassicPipeline, samples: FeatureMatrix
-) -> tuple[np.ndarray, np.ndarray]:
+def pipeline_predict(pipeline: Pipeline, samples: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Route every sample through exactly one of base/auxiliary.
 
     Inputs carry the raw feature width; the pipeline applies its stored
@@ -336,7 +283,7 @@ def pipeline_predict(
     routes = np.full(samples.n_samples, ROUTE_BASE, dtype="<U9")
     labels[easy] = base_pred[easy]
     if (~easy).any():
-        emb = pipeline.difficult_embeddings(X[~easy])
-        labels[~easy] = pipeline.auxiliary.predict(emb)
+        stage = pipeline.stage
+        labels[~easy] = stage.auxiliary.predict(stage.embed(X[~easy]))
         routes[~easy] = ROUTE_AUXILIARY
     return labels, routes

@@ -10,7 +10,6 @@ from guidedboost.classifiers.adapters import (
     ScoreRange,
     SvmAdapter,
     decision_to_probability,
-    error_proxy_probabilities,
     train_error_proxy,
 )
 from guidedboost.classifiers.forest import ForestConfig, train_random_forest
@@ -97,22 +96,23 @@ def _planted_error_setup():
 def test_error_proxy_zero_when_base_is_perfect():
     data = make_blobs(n_per_class=20, seed=2)
     report = prediction_report(data.labels.astype(float), data.labels, data.ids)
-    probs = error_proxy_probabilities(data, report, ForestConfig(n_trees=10, seed=1))
+    proxy = train_error_proxy(data, report, ForestConfig(n_trees=10, seed=1))
+    probs = proxy.predict_proba(data.values)
     assert np.all(probs == 0.0)
 
 
 def test_error_proxy_flags_planted_error_region():
     data, report = _planted_error_setup()
-    probs = error_proxy_probabilities(data, report, ForestConfig(n_trees=20, seed=3))
+    proxy = train_error_proxy(data, report, ForestConfig(n_trees=20, seed=3))
+    probs = proxy.predict_proba(data.values)
     assert np.all(probs[:30] >= 0.5)  # the region the base gets wrong
     assert np.all(probs[30:] == 0.0)  # clean region: every tree agrees
 
 
 def test_error_proxy_constant_forest_kills_easy_set():
     data, report = _planted_error_setup()
-    probs = error_proxy_probabilities(
-        data, report, ForestConfig(n_trees=1, max_depth=0, seed=0)
-    )
+    proxy = train_error_proxy(data, report, ForestConfig(n_trees=1, max_depth=0, seed=0))
+    probs = proxy.predict_proba(data.values)
     assert len(np.unique(probs)) == 1
     assert probs[0] > 0.0
 

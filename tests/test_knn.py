@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from conftest import make_blobs
 
-from guidedboost.classifiers.knn import NearestNeighborModel, knn_predict
-from guidedboost.data import FeatureMatrix
+from guidedboost.classifiers.knn import NearestNeighborModel
+from guidedboost.data import FeatureMatrix, prediction_report
 
 
 def brute_force_neighbor(train_values, train_ids, x):
@@ -25,7 +25,7 @@ def test_training_point_query_returns_own_label():
 def test_self_prediction_has_zero_errors():
     data = make_blobs(n_per_class=30, gap=0.5, scale=2.0, seed=4)
     model = NearestNeighborModel.fit(data)
-    rep = knn_predict(model, data)
+    rep = prediction_report(model.predict_proba(data.values), data.labels, data.ids)
     assert np.array_equal(rep.predictions, data.labels)
     assert set(rep.confusion.tolist()) <= {"TP", "TN"}
 

@@ -1,6 +1,7 @@
 """Pipeline container round-trips and corruption diagnostics."""
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.persistence import FORMAT_TAG, load, save
 from guidedboost.pipeline import (
-    ClassicPipeline,
-    GuidedPipeline,
+    Pipeline,
     RetrainConfig,
     classic_fit,
     guided_fit,
@@ -62,12 +62,10 @@ def _adapter(kind, data):
 
 def _guided_pipeline(kind, data, report, feature_selection=None, n_raw=None):
     stage = guided_fit(data, report, _empty_like(data), CFG, seed=3)
-    return GuidedPipeline(
+    return Pipeline(
         base=_adapter(kind, data),
         thresholds=ThresholdPair(0.35, 0.65) if kind != "knn" else ThresholdPair(0.0, 1.0),
-        models_1_to_4=stage.models_1_to_4,
-        model_5=stage.model_5,
-        auxiliary=stage.auxiliary,
+        stage=stage,
         n_raw_features=n_raw if n_raw is not None else data.n_features,
         feature_selection=feature_selection,
         metadata={"note": "round-trip probe", "seed": 3},
@@ -114,18 +112,18 @@ def test_round_trip_with_skipped_models(tmp_path):
     report = prediction_report(np.full(data.n_samples, 0.8), data.labels, data.ids)
     stage = guided_fit(data, report, _empty_like(data), CFG, seed=0)
     assert any(m is None for m in stage.models_1_to_4)
-    pipe = GuidedPipeline(
+    pipe = Pipeline(
         base=_adapter("logistic", data),
         thresholds=ThresholdPair(0.3, 0.7),
-        models_1_to_4=stage.models_1_to_4,
-        model_5=stage.model_5,
-        auxiliary=stage.auxiliary,
+        stage=stage,
         n_raw_features=data.n_features,
     )
     path = tmp_path / "skipped.zip"
     save(pipe, path)
     back = load(path)
-    assert [m is None for m in back.models_1_to_4] == [m is None for m in pipe.models_1_to_4]
+    assert [m is None for m in back.stage.models_1_to_4] == [
+        m is None for m in pipe.stage.models_1_to_4
+    ]
     l1, _ = pipeline_predict(pipe, data)
     l2, _ = pipeline_predict(back, data)
     assert np.array_equal(l1, l2)
@@ -134,17 +132,16 @@ def test_round_trip_with_skipped_models(tmp_path):
 def test_classic_round_trip(tmp_path):
     data, _ = _data_and_report(seed=2)
     stage = classic_fit(data, _empty_like(data), CFG, seed=4)
-    pipe = ClassicPipeline(
+    pipe = Pipeline(
         base=_adapter("svm", data),
         thresholds=ThresholdPair(0.4, 0.6),
-        model=stage.model,
-        auxiliary=stage.auxiliary,
+        stage=stage,
         n_raw_features=data.n_features,
     )
     path = tmp_path / "classic.zip"
     save(pipe, path)
     back = load(path)
-    assert isinstance(back, ClassicPipeline)
+    assert back.stage.models_1_to_4 == ()
     l1, r1 = pipeline_predict(pipe, data)
     l2, r2 = pipeline_predict(back, data)
     assert np.array_equal(l1, l2)
@@ -176,6 +173,34 @@ def test_deflated_archive_still_loads(tmp_path):
     want_labels, want_routes = pipeline_predict(pipe, data)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(routes, want_routes)
+
+
+# Archives written by an earlier release, before guided and classic pipelines
+# shared one type: make_blobs(12, 3, seed=5), a base that predicts positive
+# everywhere (so pair models 2-4 are skipped), CFG, seed 0, a logistic
+# adapter and thresholds (0.3, 0.7), through guided_fit and classic_fit.
+ARCHIVES = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("kind, present", [
+    ("guided", [True, False, False, False]),
+    ("classic", []),
+])
+def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path):
+    path = ARCHIVES / f"archive_{kind}_v1.zip"
+    back = load(path)
+    with zipfile.ZipFile(path) as zf:
+        assert json.loads(zf.read("manifest.json"))["kind"] == kind
+    assert [m is not None for m in back.stage.models_1_to_4] == present
+    again = tmp_path / "again.zip"
+    save(back, again)
+    with zipfile.ZipFile(path) as old, zipfile.ZipFile(again) as new:
+        assert old.namelist() == new.namelist()
+        for name in old.namelist():
+            assert old.read(name) == new.read(name), name
+    data = make_blobs(n_per_class=12, n_features=3, seed=5)
+    labels, routes = pipeline_predict(back, data)
+    assert labels.shape == routes.shape == (data.n_samples,)
 
 
 # ------------------------------------------------------------ corruption

@@ -13,13 +13,13 @@ from guidedboost.data import (
     confusion_partition,
     prediction_report,
 )
-from guidedboost.nn.network import encoder_spec, projection_spec
+from guidedboost.nn.network import AuxiliaryClassifier, encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.pipeline import (
-    ClassicPipeline,
-    GuidedPipeline,
     MODEL_PAIRS,
+    Pipeline,
     RetrainConfig,
+    Stage,
     classic_fit,
     concat_embeddings,
     guided_fit,
@@ -55,7 +55,7 @@ def test_guided_fit_trains_all_pairs_when_cells_populated():
         assert len(cell) > 0  # fixture sanity: every pairing can train
     stage = guided_fit(data, report, _empty_like(data), CFG, seed=1)
     assert all(m is not None for m in stage.models_1_to_4)
-    assert stage.model_5.input_width == 4 * CFG.encoder.out_width
+    assert stage.model.input_width == 4 * CFG.encoder.out_width
     assert stage.auxiliary.input_width == CFG.encoder.out_width
 
 
@@ -104,18 +104,21 @@ def test_guided_fit_deterministic():
     data, report = _difficult_setup(seed=3)
     s1 = guided_fit(data, report, _empty_like(data), CFG, seed=5)
     s2 = guided_fit(data, report, _empty_like(data), CFG, seed=5)
-    e1 = s1.model_5.embed(concat_embeddings(s1.models_1_to_4, data.values, CFG.encoder.out_width))
-    e2 = s2.model_5.embed(concat_embeddings(s2.models_1_to_4, data.values, CFG.encoder.out_width))
+    e1 = s1.model.embed(concat_embeddings(s1.models_1_to_4, data.values, CFG.encoder.out_width))
+    e2 = s2.model.embed(concat_embeddings(s2.models_1_to_4, data.values, CFG.encoder.out_width))
     assert np.array_equal(e1, e2)
+    assert np.array_equal(s1.embed(data.values), e1)
 
 
 def test_classic_fit_shapes_and_determinism():
     data, _ = _difficult_setup(seed=4)
     c1 = classic_fit(data, _empty_like(data), CFG, seed=2)
     c2 = classic_fit(data, _empty_like(data), CFG, seed=2)
+    assert c1.models_1_to_4 == ()
     assert c1.model.embedding_width == CFG.encoder.out_width
     assert c1.auxiliary.input_width == CFG.encoder.out_width
     assert np.array_equal(c1.model.embed(data.values), c2.model.embed(data.values))
+    assert np.array_equal(c1.embed(data.values), c1.model.embed(data.values))
     with pytest.raises(ValueError):
         classic_fit(_empty_like(data), _empty_like(data), CFG)
 
@@ -137,12 +140,10 @@ def _fitted_guided_pipeline(seed=0):
     data, report = _difficult_setup(seed=seed)
     stage = guided_fit(data, report, _empty_like(data), CFG, seed=seed)
     base = LogisticAdapter(train_logistic(data))
-    return data, GuidedPipeline(
+    return data, Pipeline(
         base=base,
         thresholds=ThresholdPair(0.35, 0.65),
-        models_1_to_4=stage.models_1_to_4,
-        model_5=stage.model_5,
-        auxiliary=stage.auxiliary,
+        stage=stage,
         n_raw_features=data.n_features,
     )
 
@@ -156,7 +157,7 @@ def test_pipeline_predict_routes_by_threshold():
 
     base_pred = (pipe.base.predict_probabilities(data.values) >= 0.5).astype(np.int64)
     assert np.array_equal(labels[easy], base_pred[easy])
-    aux_pred = pipe.auxiliary.predict(pipe.difficult_embeddings(data.values[~easy]))
+    aux_pred = pipe.stage.auxiliary.predict(pipe.stage.embed(data.values[~easy]))
     assert np.array_equal(labels[~easy], aux_pred)
 
 
@@ -189,26 +190,29 @@ def test_pipeline_predict_width_check():
 
 def test_guided_pipeline_structural_validation():
     data, pipe = _fitted_guided_pipeline(seed=9)
-    with pytest.raises(ValueError):
-        GuidedPipeline(
-            base=pipe.base,
-            thresholds=pipe.thresholds,
-            models_1_to_4=pipe.models_1_to_4[:3],
-            model_5=pipe.model_5,
-            auxiliary=pipe.auxiliary,
-            n_raw_features=data.n_features,
+    stage = pipe.stage
+    with pytest.raises(ValueError, match="four pair models"):
+        Stage(models_1_to_4=stage.models_1_to_4[:3], model=stage.model, auxiliary=stage.auxiliary)
+    # a pair model in front of the raw-width model: model 5 width check
+    with pytest.raises(ValueError, match="not 4 x block width"):
+        Stage(
+            models_1_to_4=stage.models_1_to_4, model=stage.models_1_to_4[0],
+            auxiliary=stage.auxiliary,
         )
+    # a head that does not take the model's embedding width
+    head = AuxiliaryClassifier(stage.model.embedding_width + 1, seed=0)
+    with pytest.raises(ValueError, match="auxiliary width"):
+        Stage(models_1_to_4=(), model=stage.model, auxiliary=head)
 
 
 def test_classic_pipeline_predicts():
     data, _ = _difficult_setup(seed=10)
     stage = classic_fit(data, _empty_like(data), CFG, seed=1)
     base = LogisticAdapter(train_logistic(data))
-    pipe = ClassicPipeline(
+    pipe = Pipeline(
         base=base,
         thresholds=ThresholdPair(0.4, 0.6),
-        model=stage.model,
-        auxiliary=stage.auxiliary,
+        stage=stage,
         n_raw_features=data.n_features,
     )
     labels, routes = pipeline_predict(pipe, data)
@@ -216,5 +220,5 @@ def test_classic_pipeline_predicts():
     assert set(routes.tolist()) <= {"base", "auxiliary"}
     diff = routes == "auxiliary"
     if diff.any():
-        want = pipe.auxiliary.predict(pipe.model.embed(data.values[diff]))
+        want = pipe.stage.auxiliary.predict(pipe.stage.model.embed(data.values[diff]))
         assert np.array_equal(labels[diff], want)
