@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .data import (
-    ConfusionPartition,
     FeatureMatrix,
     PredictionReport,
     SplitAssignment,
@@ -21,7 +20,6 @@ from .thresholding import (
 
 __all__ = [
     "__version__",
-    "ConfusionPartition",
     "FeatureMatrix",
     "PredictionReport",
     "SplitAssignment",

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import FeatureMatrix, PredictionReport, ThresholdPair, prediction_report
+from ..data import (
+    FeatureMatrix,
+    PredictionReport,
+    ThresholdPair,
+    check_report_alignment,
+    prediction_report,
+)
 from .forest import ForestConfig, ForestModel, train_random_forest
 from .knn import NearestNeighborModel
 from .linear import LinearModel
@@ -85,15 +91,12 @@ def train_error_proxy(
 
     Proxy labels: 1 iff the base misclassified the sample. Samples the proxy
     later scores with probability exactly 0 are the ones every tree considers
-    safe, and they form the easy set.
+    safe, and they form the easy set. ``base_report`` must hold data's rows
+    in data's order.
     """
     cfg = cfg or ForestConfig()
-    positions = {int(i): k for k, i in enumerate(base_report.ids)}
-    try:
-        rows = np.array([positions[int(i)] for i in data.ids], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"train_error_proxy: base report missing id {exc.args[0]}") from None
-    wrong = (base_report.predictions[rows] != data.labels).astype(np.int64)
+    check_report_alignment(base_report, data, "train_error_proxy")
+    wrong = (base_report.predictions != data.labels).astype(np.int64)
     proxy = FeatureMatrix(values=data.values, labels=wrong, ids=data.ids)
     return train_random_forest(proxy, cfg)
 

@@ -19,7 +19,6 @@ class LinearConfig:
     learning_rate: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,8 @@ def _check_two_classes(data: FeatureMatrix, what: str):
 def train_logistic(data: FeatureMatrix, cfg: LinearConfig | None = None) -> LinearModel:
     """Fit logistic regression by full-batch gradient descent.
 
-    Weights start at zero, so the run is deterministic irrespective of the
-    seed; the seed stays in the config for interface symmetry with the other
-    trainers.
+    Weights start at zero and no random numbers are drawn, so the fit is
+    deterministic and takes no seed.
     """
     cfg = cfg or LinearConfig()
     _check_two_classes(data, "train_logistic")
@@ -98,7 +96,6 @@ class SvmConfig:
     learning_rate: float = 0.05
     epochs: int = 300
     regularization: float = 1e-4
-    seed: int = 0
 
 
 def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> LinearModel:

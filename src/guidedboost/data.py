@@ -1,9 +1,11 @@
 """Core data types shared across the pipeline.
 
-Datasets, per-sample prediction reports, calibrated threshold pairs and the
-easy/difficult and confusion partitions they induce. All types are immutable
-after construction (array buffers are frozen), so they can be shared freely
-between parallel workers.
+Datasets, per-sample prediction reports, calibrated threshold pairs with the
+easy-row rule they define, the easy/difficult id sets of a split, and the
+per-row confusion tags of a base. Arrays that travel together (a dataset, its
+report, its probabilities, its tags) are aligned row by row. All types are
+immutable after construction (array buffers are frozen), so they can be
+shared freely between parallel workers.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ class FeatureMatrix:
     """A tabular dataset with binary labels and stable sample ids.
 
     ``values`` is a dense (n_samples, n_features) float64 matrix. ``ids`` are
-    unique integers assigned once at load time; subsets keep the original id
-    values so that index sets computed on one view stay meaningful on any
-    other view of the same data.
+    unique integers assigned once at load time and kept by every subset, so a
+    row can be traced back to the loaded data. Views derived from one matrix
+    (reports, probabilities, confusion tags) align with it by row position.
     """
 
     values: np.ndarray
@@ -103,17 +105,15 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class PredictionReport:
-    """Per-sample positive-class probability, binary prediction and confusion tag.
+    """Per-sample positive-class probability and binary prediction.
 
     ``prediction == 1`` iff ``probability >= 0.5``; a probability of exactly
-    0.5 is predicted positive. Confusion tags are relative to the true labels
-    supplied at construction.
+    0.5 is predicted positive.
     """
 
     ids: np.ndarray
     probabilities: np.ndarray
     predictions: np.ndarray
-    confusion: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "ids", _frozen(np.asarray(self.ids, dtype=np.int64)))
@@ -123,9 +123,8 @@ class PredictionReport:
         object.__setattr__(
             self, "predictions", _frozen(np.asarray(self.predictions, dtype=np.int64))
         )
-        object.__setattr__(self, "confusion", _frozen(np.asarray(self.confusion, dtype="<U2")))
         n = len(self.ids)
-        for name in ("probabilities", "predictions", "confusion"):
+        for name in ("probabilities", "predictions"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length does not match ids")
         expected = (self.probabilities >= 0.5).astype(np.int64)
@@ -147,14 +146,13 @@ def prediction_report(probabilities, labels, ids) -> PredictionReport:
     if probabilities.size and (probabilities.min() < 0.0 or probabilities.max() > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     predictions = (probabilities >= 0.5).astype(np.int64)
-    tags = np.empty(len(ids), dtype="<U2")
-    tags[(predictions == 1) & (labels == 1)] = "TP"
-    tags[(predictions == 1) & (labels == 0)] = "FP"
-    tags[(predictions == 0) & (labels == 0)] = "TN"
-    tags[(predictions == 0) & (labels == 1)] = "FN"
-    return PredictionReport(
-        ids=ids, probabilities=probabilities, predictions=predictions, confusion=tags
-    )
+    return PredictionReport(ids=ids, probabilities=probabilities, predictions=predictions)
+
+
+def check_report_alignment(report: PredictionReport, data: FeatureMatrix, what: str):
+    """Fail unless the report holds the dataset's rows in the dataset's order."""
+    if not np.array_equal(report.ids, data.ids):
+        raise ValueError(f"{what}: report ids do not align with the dataset's ids")
 
 
 @dataclass(frozen=True)
@@ -175,6 +173,16 @@ class ThresholdPair:
                 f"need 0 <= th_n <= 0.5 <= th_p <= 1, got ({self.th_n}, {self.th_p})"
             )
 
+    def easy(self, probs) -> np.ndarray:
+        """Row mask of the easy samples, boundaries inclusive.
+
+        p = 0.5 is a positive prediction, so only th_p can claim it for the
+        easy side; letting th_n = 0.5 swallow it would leak boundary FPs past
+        the calibrated error budget.
+        """
+        p = np.asarray(probs, dtype=np.float64)
+        return ((p <= self.th_n) & (p < 0.5)) | (p >= self.th_p)
+
 
 @dataclass(frozen=True)
 class SplitAssignment:
@@ -192,34 +200,8 @@ class SplitAssignment:
             raise ValueError("easy and difficult id sets overlap")
 
 
-@dataclass(frozen=True)
-class ConfusionPartition:
-    """The TP/FP/TN/FN id sets of one classifier on one dataset."""
-
-    tp_ids: frozenset
-    fp_ids: frozenset
-    tn_ids: frozenset
-    fn_ids: frozenset
-
-    def __post_init__(self):
-        for name in ("tp_ids", "fp_ids", "tn_ids", "fn_ids"):
-            object.__setattr__(self, name, frozenset(int(i) for i in getattr(self, name)))
-        sets = [self.tp_ids, self.fp_ids, self.tn_ids, self.fn_ids]
-        total = sum(len(s) for s in sets)
-        if len(frozenset().union(*sets)) != total:
-            raise ValueError("confusion cells are not pairwise disjoint")
-
-    @property
-    def all_ids(self) -> frozenset:
-        return self.tp_ids | self.fp_ids | self.tn_ids | self.fn_ids
-
-    @property
-    def error_ids(self) -> frozenset:
-        return self.fp_ids | self.fn_ids
-
-
-def confusion_partition(report: PredictionReport, labels) -> ConfusionPartition:
-    """Split the report's ids into TP/FP/TN/FN sets against the given labels.
+def confusion_partition(report: PredictionReport, labels) -> np.ndarray:
+    """One confusion tag ("TP", "FP", "TN" or "FN") per row of the report.
 
     ``labels`` must align with ``report.ids`` element-wise.
     """
@@ -229,10 +211,5 @@ def confusion_partition(report: PredictionReport, labels) -> ConfusionPartition:
             f"labels length {len(labels)} does not match report length {report.n_samples}"
         )
     preds = report.predictions
-    ids = report.ids
-    return ConfusionPartition(
-        tp_ids=frozenset(ids[(preds == 1) & (labels == 1)].tolist()),
-        fp_ids=frozenset(ids[(preds == 1) & (labels == 0)].tolist()),
-        tn_ids=frozenset(ids[(preds == 0) & (labels == 0)].tolist()),
-        fn_ids=frozenset(ids[(preds == 0) & (labels == 1)].tolist()),
-    )
+    # CONFUSION_TAGS order: predicted positive then negative, right then wrong
+    return _frozen(np.array(CONFUSION_TAGS)[2 * (1 - preds) + (preds != labels)])

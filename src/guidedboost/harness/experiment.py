@@ -22,7 +22,6 @@ from ..classifiers.forest import ForestConfig, train_random_forest
 from ..classifiers.knn import NearestNeighborModel
 from ..classifiers.linear import LinearConfig, SvmConfig, train_linear_svm, train_logistic
 from ..data import (
-    ConfusionPartition,
     FeatureMatrix,
     PredictionReport,
     SplitAssignment,
@@ -122,9 +121,13 @@ def load_data(cfg: ExperimentConfig) -> FeatureMatrix:
 
 def fit_base(kind: str, params: dict, train: FeatureMatrix, val: FeatureMatrix,
              test: FeatureMatrix, seed: int):
-    """Train the configured base classifier and wrap it in its adapter."""
-    params = dict(params)
-    params.setdefault("seed", seed)
+    """Train the configured base classifier and wrap it in its adapter.
+
+    The run seed reaches only the randomised kinds (forest, and knn's
+    error-proxy forest); the linear trainers draw no random numbers.
+    """
+    if kind in ("forest", "knn"):
+        params = {"seed": seed, **params}
     if kind == "logistic":
         return LogisticAdapter(train_logistic(train, LinearConfig(**params)))
     if kind == "svm":
@@ -149,8 +152,6 @@ class Prepared:
     adapter: object
     reports: dict[str, PredictionReport]
     routing: dict[str, np.ndarray]
-    val_confusion: ConfusionPartition
-    test_confusion: ConfusionPartition
     tolerated: ToleratedCounts | None
     thresholds: ThresholdPair
     assignments: dict[str, SplitAssignment]
@@ -200,16 +201,10 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             tolerated = tolerated_counts(
                 cfg.tolerance.X,
                 cfg.tolerance.Y,
-                len(val_confusion.fp_ids),
-                len(val_confusion.fn_ids),
+                int(np.sum(val_confusion == "FP")),
+                int(np.sum(val_confusion == "FN")),
             )
-            thresholds = select_thresholds(
-                routing["validation"],
-                val.ids,
-                val_confusion.fp_ids,
-                val_confusion.fn_ids,
-                tolerated,
-            )
+            thresholds = select_thresholds(routing["validation"], val_confusion, tolerated)
 
     with _stage("split-sets"):
         assignments = {
@@ -224,17 +219,14 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         test_confusion = confusion_partition(reports["test"], test.labels)
         curves = {
             "validation": accumulated_error_curve(
-                routing["validation"], val.ids, val_confusion, CURVE_GRID
+                routing["validation"], val_confusion, CURVE_GRID
             ),
-            "test": accumulated_error_curve(
-                routing["test"], test.ids, test_confusion, CURVE_GRID
-            ),
+            "test": accumulated_error_curve(routing["test"], test_confusion, CURVE_GRID),
         }
 
     return Prepared(
         data=data, kept=kept, train=train, val=val, test=test, adapter=adapter,
-        reports=reports, routing=routing, val_confusion=val_confusion,
-        test_confusion=test_confusion, tolerated=tolerated, thresholds=thresholds,
+        reports=reports, routing=routing, tolerated=tolerated, thresholds=thresholds,
         assignments=assignments, difficult_train=difficult_train,
         difficult_val=difficult_val, difficult_test=difficult_test, curves=curves,
     )
@@ -254,12 +246,6 @@ class ExperimentResult:
     classic: Pipeline | None
     skipped: str | None
     summary: dict = field(default_factory=dict)
-
-
-def _subset_eval(report: PredictionReport, data: FeatureMatrix, ids, scope: str):
-    wanted = np.array(sorted(ids), dtype=np.int64)
-    pos = data.positions_of(wanted)
-    return evaluate(report.predictions[pos], data.labels[pos], scope=scope)
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -283,24 +269,21 @@ def run_experiment(
         raise ValueError(f"run_experiment: unknown variants {sorted(unknown)}")
     prep = prepare(cfg)
     test, val = prep.test, prep.val
-    assignments, reports = prep.assignments, prep.reports
     difficult_train, difficult_val, difficult_test = (
         prep.difficult_train, prep.difficult_val, prep.difficult_test,
     )
+    base_preds = prep.reports["test"].predictions
 
     with _stage("evaluate"):
-        rows: list[MetricsRow] = []
-        base_whole = evaluate(reports["test"].predictions, test.labels, scope="whole")
-        rows.append(_row("base", base_whole))
-        base_easy = base_difficult = None
-        if assignments["test"].easy_ids:
-            base_easy = _subset_eval(reports["test"], test, assignments["test"].easy_ids, "easy")
-            rows.append(_row("base", base_easy))
-        if assignments["test"].difficult_ids:
-            base_difficult = _subset_eval(
-                reports["test"], test, assignments["test"].difficult_ids, "difficult"
-            )
-            rows.append(_row("base", base_difficult))
+        easy = prep.thresholds.easy(prep.routing["test"])
+        base_whole = evaluate(base_preds, test.labels, scope="whole")
+        scoped = {
+            scope: evaluate(base_preds[mask], test.labels[mask], scope=scope)
+            for scope, mask in (("easy", easy), ("difficult", ~easy))
+            if mask.any()
+        }
+        rows = [_row("base", r) for r in (base_whole, *scoped.values())]
+        base_difficult = scoped.get("difficult")
 
     skipped = None
     pipelines: dict[str, Pipeline | None] = {"guided": None, "classic": None}
@@ -365,17 +348,13 @@ def run_experiment(
 
     if skipped is None and difficult_test.n_samples:
         with _stage("evaluate"):
-            easy_pos = test.positions_of(
-                np.array(sorted(assignments["test"].easy_ids), dtype=np.int64)
-            )
             for name in ("classic", "guided"):
                 pipe = pipelines[name]
                 if pipe is None:
                     continue
                 aux_preds = pipe.stage.auxiliary.predict(pipe.stage.embed(difficult_test.values))
                 comb_report, _, diff_report = combined_report(
-                    reports["test"].predictions[easy_pos], test.labels[easy_pos],
-                    aux_preds, difficult_test.labels,
+                    base_preds[easy], test.labels[easy], aux_preds, difficult_test.labels,
                 )
                 delta = delta_errors(base_difficult, diff_report)
                 reduction = errors_reduction(delta, base_difficult.total_errors)
@@ -392,8 +371,8 @@ def run_experiment(
         thresholds=prep.thresholds,
         rows=rows,
         curves=prep.curves,
-        assignments=assignments,
-        reports=reports,
+        assignments=prep.assignments,
+        reports=prep.reports,
         guided=pipelines["guided"],
         classic=pipelines["classic"],
         skipped=skipped,

@@ -81,19 +81,12 @@ def combined_report(
     easy_labels: np.ndarray,
     difficult_preds: np.ndarray,
     difficult_labels: np.ndarray,
-    easy_ids: np.ndarray | None = None,
-    difficult_ids: np.ndarray | None = None,
 ) -> tuple[EvaluationReport, EvaluationReport | None, EvaluationReport | None]:
     """Evaluate the two routed halves together and individually.
 
-    When id arrays are supplied they must not overlap (the two routes
-    partition the test set). Either half may be empty; its sub-report is then
-    None. Returns (combined, easy, difficult).
+    Either half may be empty; its sub-report is then None. Returns
+    (combined, easy, difficult).
     """
-    if easy_ids is not None and difficult_ids is not None:
-        overlap = set(int(i) for i in easy_ids) & set(int(i) for i in difficult_ids)
-        if overlap:
-            raise ValueError(f"combined_report: routes overlap on ids {sorted(overlap)[:5]}")
     easy_preds = np.asarray(easy_preds, dtype=np.int64)
     easy_labels = np.asarray(easy_labels, dtype=np.int64)
     difficult_preds = np.asarray(difficult_preds, dtype=np.int64)

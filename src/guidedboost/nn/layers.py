@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-HE_UNIFORM = "he_uniform"
-
 
 class Linear:
     """Affine layer y = x W + b with He-style uniform init."""

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    ConfusionPartition,
     FeatureMatrix,
     PredictionReport,
     ThresholdPair,
+    check_report_alignment,
     confusion_partition,
 )
 from .nn.network import (
@@ -103,16 +103,6 @@ class Stage:
         return self.model.embed(X)
 
 
-def _pair_ids(partition: ConfusionPartition, pair: tuple[str, str]) -> frozenset:
-    cells = {
-        "TP": partition.tp_ids,
-        "FP": partition.fp_ids,
-        "TN": partition.tn_ids,
-        "FN": partition.fn_ids,
-    }
-    return cells[pair[0]] | cells[pair[1]]
-
-
 @contextmanager
 def _training(network: str):
     """Name the failing network in a non-finite training error."""
@@ -120,11 +110,6 @@ def _training(network: str):
         yield
     except FloatingPointError as exc:
         raise FloatingPointError(f"{network}: {exc}") from exc
-
-
-def _check_report_alignment(report: PredictionReport, data: FeatureMatrix, what: str):
-    if not np.array_equal(report.ids, data.ids):
-        raise ValueError(f"{what}: report ids do not align with the dataset's ids")
 
 
 def _check_difficult(train: FeatureMatrix, val: FeatureMatrix, what: str):
@@ -184,18 +169,18 @@ def guided_fit(
         seed: master seed; defaults to cfg.train.seed.
     """
     _check_difficult(difficult_train, difficult_val, "guided_fit")
-    _check_report_alignment(base_report, difficult_train, "guided_fit")
+    check_report_alignment(base_report, difficult_train, "guided_fit")
     if val_report is not None:
-        _check_report_alignment(val_report, difficult_val, "guided_fit (validation)")
+        check_report_alignment(val_report, difficult_val, "guided_fit (validation)")
     seed = cfg.train.seed if seed is None else seed
 
-    partition = confusion_partition(base_report, difficult_train.labels)
-    val_partition = (
+    tags = confusion_partition(base_report, difficult_train.labels)
+    val_tags = (
         confusion_partition(val_report, difficult_val.labels) if val_report is not None else None
     )
     models: list[EncoderProjectionModel | None] = []
     for k, pair in enumerate(MODEL_PAIRS, start=1):
-        train_k = difficult_train.subset_by_ids(_pair_ids(partition, pair))
+        train_k = difficult_train.subset(np.flatnonzero(np.isin(tags, pair)))
         if len(np.unique(train_k.labels)) < 2:
             log.warning(
                 "guided_fit: model %d (%s+%s) skipped, confusion cell empty; "
@@ -207,8 +192,8 @@ def guided_fit(
             models.append(None)
             continue
         val_k = difficult_val
-        if val_partition is not None:
-            candidate = difficult_val.subset_by_ids(_pair_ids(val_partition, pair))
+        if val_tags is not None:
+            candidate = difficult_val.subset(np.flatnonzero(np.isin(val_tags, pair)))
             if candidate.n_samples >= 2:
                 val_k = candidate
         with _training(f"guided_fit: model {k}"):
@@ -276,9 +261,7 @@ def pipeline_predict(pipeline: Pipeline, samples: FeatureMatrix) -> tuple[np.nda
         X = X[:, pipeline.feature_selection]
     routing = pipeline.base.routing_probabilities(X)
     base_pred = (pipeline.base.predict_probabilities(X) >= 0.5).astype(np.int64)
-    th = pipeline.thresholds
-    # same boundary rule as split_dataset: 0.5 belongs to the positive side
-    easy = ((routing <= th.th_n) & (routing < 0.5)) | (routing >= th.th_p)
+    easy = pipeline.thresholds.easy(routing)
     labels = np.empty(samples.n_samples, dtype=np.int64)
     routes = np.full(samples.n_samples, ROUTE_BASE, dtype="<U9")
     labels[easy] = base_pred[easy]

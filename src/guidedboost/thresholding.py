@@ -1,10 +1,11 @@
 """Tolerated-error budgets, threshold calibration, and easy/difficult splitting.
 
-Calibration looks at the base classifier's validation mistakes and pushes a
+Calibration reads the base classifier's validation confusion tags (one
+"TP"/"FP"/"TN"/"FN" per row, aligned with the probabilities) and pushes a
 pair of probability thresholds outward from 0.5 until the samples outside
 them (the easy set) hold no more than the tolerated number of FPs and FNs.
 Everything inside the open interval is difficult and goes to the auxiliary
-stage.
+stage; `ThresholdPair.easy` is the one place that rule is written.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfusionPartition, SplitAssignment, ThresholdPair
+from .data import SplitAssignment, ThresholdPair
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,7 @@ def _extreme_negative(p: np.ndarray, is_fn: np.ndarray, budget: int) -> float:
 
 
 def select_thresholds(
-    val_probs: np.ndarray,
-    ids: np.ndarray,
-    fp_ids: frozenset[int] | set[int],
-    fn_ids: frozenset[int] | set[int],
-    tolerated: ToleratedCounts,
+    val_probs: np.ndarray, confusion: np.ndarray, tolerated: ToleratedCounts
 ) -> ThresholdPair:
     """Calibrate (th_n, th_p) on validation probabilities.
 
@@ -108,47 +105,34 @@ def select_thresholds(
 
     Args:
         val_probs: base-classifier probabilities on the validation set.
-        ids: sample ids aligned with val_probs.
-        fp_ids / fn_ids: ids of the base's validation FPs and FNs.
+        confusion: the base's confusion tag of each validation row, aligned
+            with val_probs (see data.confusion_partition).
         tolerated: error budget from tolerated_counts.
     """
     p = np.asarray(val_probs, dtype=np.float64)
-    ids = np.asarray(ids, dtype=np.int64)
-    if p.shape != ids.shape or p.ndim != 1:
-        raise ValueError("select_thresholds: probs and ids must be matching 1-D arrays")
+    confusion = np.asarray(confusion)
+    if p.shape != confusion.shape or p.ndim != 1:
+        raise ValueError("select_thresholds: probs and tags must be matching 1-D arrays")
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("select_thresholds: probabilities outside [0, 1]")
-    fp_ids = frozenset(int(i) for i in fp_ids)
-    fn_ids = frozenset(int(i) for i in fn_ids)
-    known = set(int(i) for i in ids)
-    stray = (fp_ids | fn_ids) - known
-    if stray:
-        raise ValueError(f"select_thresholds: error ids not in validation ids: {sorted(stray)[:5]}")
-    is_fp = np.fromiter((int(i) in fp_ids for i in ids), dtype=bool, count=len(ids))
-    is_fn = np.fromiter((int(i) in fn_ids for i in ids), dtype=bool, count=len(ids))
     pos = p >= 0.5
-    th_p = _extreme_positive(p[pos], is_fp[pos], tolerated.tolerated_fps)
-    th_n = _extreme_negative(p[~pos], is_fn[~pos], tolerated.tolerated_fns)
+    th_p = _extreme_positive(p[pos], confusion[pos] == "FP", tolerated.tolerated_fps)
+    th_n = _extreme_negative(p[~pos], confusion[~pos] == "FN", tolerated.tolerated_fns)
     return ThresholdPair(th_n=th_n, th_p=th_p)
 
 
 def split_dataset(
     probs: np.ndarray, thresholds: ThresholdPair, ids: np.ndarray | None = None
 ) -> SplitAssignment:
-    """Partition samples into easy (outside the thresholds, boundary inclusive)
-    and difficult (strictly inside the open interval).
-
-    p = 0.5 is a positive prediction, so only th_p can claim it for the easy
-    side; letting th_n = 0.5 swallow it would leak boundary FPs past the
-    calibrated error budget.
-    """
+    """Partition sample ids into easy (``thresholds.easy``) and difficult
+    (strictly inside the open interval)."""
     p = np.asarray(probs, dtype=np.float64)
     if ids is None:
         ids = np.arange(p.size, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
     if p.shape != ids.shape or p.ndim != 1:
         raise ValueError("split_dataset: probs and ids must be matching 1-D arrays")
-    easy = ((p <= thresholds.th_n) & (p < 0.5)) | (p >= thresholds.th_p)
+    easy = thresholds.easy(p)
     return SplitAssignment(
         easy_ids=frozenset(int(i) for i in ids[easy]),
         difficult_ids=frozenset(int(i) for i in ids[~easy]),
@@ -167,25 +151,23 @@ class CurvePoint:
 
 
 def accumulated_error_curve(
-    probs: np.ndarray,
-    ids: np.ndarray,
-    confusion: ConfusionPartition,
-    grid: np.ndarray,
+    probs: np.ndarray, confusion: np.ndarray, grid: np.ndarray
 ) -> list[CurvePoint]:
     """Accumulated FNs (p <= t for t < 0.5) and FPs (p >= t for t >= 0.5).
 
+    ``confusion`` holds the confusion tag of each row, aligned with probs.
     Sweeping the grid shows how many errors each candidate threshold would
     leave on the easy side, which is what calibration trades off.
     """
     p = np.asarray(probs, dtype=np.float64)
-    ids = np.asarray(ids, dtype=np.int64)
-    if p.shape != ids.shape or p.ndim != 1:
-        raise ValueError("accumulated_error_curve: probs and ids must be matching 1-D arrays")
+    confusion = np.asarray(confusion)
+    if p.shape != confusion.shape or p.ndim != 1:
+        raise ValueError("accumulated_error_curve: probs and tags must be matching 1-D arrays")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
         raise ValueError("accumulated_error_curve: grid values outside [0, 1]")
-    is_fp = np.fromiter((int(i) in confusion.fp_ids for i in ids), dtype=bool, count=len(ids))
-    is_fn = np.fromiter((int(i) in confusion.fn_ids for i in ids), dtype=bool, count=len(ids))
+    is_fp = confusion == "FP"
+    is_fn = confusion == "FN"
     points = []
     for t in grid:
         if t < 0.5:

@@ -12,7 +12,6 @@ from conftest import numeric_gradient, relative_error
 from test_thresholding import oracle_thresholds, random_instance
 
 from guidedboost.classifiers.adapters import ScoreRange, decision_to_probability
-from guidedboost.data import ConfusionPartition
 from guidedboost.harness.config import ExperimentConfig, SyntheticSpec
 from guidedboost.harness.experiment import load_data, metrics_to_csv, run_experiment
 from guidedboost.metrics import delta_errors, errors_reduction, evaluate
@@ -54,9 +53,9 @@ def instances():
 def test_criterion_1_threshold_oracle_equivalence(instances):
     t0 = time.perf_counter()
     mismatches = 0
-    for probs, ids, fp_ids, fn_ids, tol in instances:
-        got = select_thresholds(probs, ids, fp_ids, fn_ids, tol)
-        want = oracle_thresholds(probs, ids, fp_ids, fn_ids, tol)
+    for probs, confusion, tol in instances:
+        got = select_thresholds(probs, confusion, tol)
+        want = oracle_thresholds(probs, confusion, tol)
         if got != want:
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -69,16 +68,18 @@ def test_criterion_1_threshold_oracle_equivalence(instances):
 
 def test_criterion_2_split_error_budget(instances):
     violations = 0
-    for probs, ids, fp_ids, fn_ids, tol in instances:
-        th = select_thresholds(probs, ids, fp_ids, fn_ids, tol)
-        assignment = split_dataset(probs, th, ids)
+    for probs, confusion, tol in instances:
+        th = select_thresholds(probs, confusion, tol)
+        assignment = split_dataset(probs, th)
         easy, diff = assignment.easy_ids, assignment.difficult_ids
+        fp_ids = frozenset(np.flatnonzero(confusion == "FP").tolist())
+        fn_ids = frozenset(np.flatnonzero(confusion == "FN").tolist())
         ok = (
             len(fp_ids & easy) <= tol.tolerated_fps
             and len(fn_ids & easy) <= tol.tolerated_fns
             and len(fp_ids & diff) >= len(fp_ids) - tol.tolerated_fps
             and len(fn_ids & diff) >= len(fn_ids) - tol.tolerated_fns
-            and easy | diff == frozenset(int(i) for i in ids)
+            and easy | diff == frozenset(range(len(probs)))
             and not easy & diff
         )
         violations += not ok
@@ -304,12 +305,8 @@ def test_criterion_6_planted_improvement(planted_battery):
 def test_criterion_7_curve_monotonicity(instances, planted_battery):
     results, _ = planted_battery
     curves = [c for r in results for c in r.curves.values()]
-    for probs, ids, fp_ids, fn_ids, _ in instances[:200]:
-        rest = frozenset(int(i) for i in ids) - fp_ids - fn_ids
-        confusion = ConfusionPartition(
-            tp_ids=rest, fp_ids=fp_ids, tn_ids=frozenset(), fn_ids=fn_ids
-        )
-        curves.append(accumulated_error_curve(probs, ids, confusion, CURVE_GRID))
+    for probs, confusion, _ in instances[:200]:
+        curves.append(accumulated_error_curve(probs, confusion, CURVE_GRID))
     violations = 0
     for curve in curves:
         fns = [p.count for p in curve if p.side == "fn"]

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from guidedboost.data import (
-    ConfusionPartition,
+    CONFUSION_TAGS,
     FeatureMatrix,
     PredictionReport,
     SplitAssignment,
@@ -80,15 +80,9 @@ def test_prediction_report_factory_and_confusion():
     labels = np.array([1, 1, 0, 0])
     rep = prediction_report(probs, labels, np.arange(4))
     assert np.array_equal(rep.predictions, [1, 0, 1, 0])
-    assert list(rep.confusion) == ["TP", "FN", "FP", "TN"]
-
-    part = confusion_partition(rep, labels)
-    assert part.tp_ids == frozenset({0})
-    assert part.fn_ids == frozenset({1})
-    assert part.fp_ids == frozenset({2})
-    assert part.tn_ids == frozenset({3})
-    assert part.error_ids == frozenset({1, 2})
-    assert part.all_ids == frozenset({0, 1, 2, 3})
+    assert confusion_partition(rep, labels).tolist() == ["TP", "FN", "FP", "TN"]
+    with pytest.raises(ValueError):
+        confusion_partition(rep, labels[:3])
 
 
 def test_prediction_report_requires_consistency():
@@ -98,14 +92,13 @@ def test_prediction_report_requires_consistency():
             ids=np.array([0], dtype=np.int64),
             probabilities=np.array([0.9]),
             predictions=np.array([0], dtype=np.int64),
-            confusion=np.array(["FN"], dtype="<U2"),
         )
 
 
 def test_boundary_probability_is_positive_prediction():
     rep = prediction_report(np.array([0.5]), np.array([0]), np.array([7]))
     assert rep.predictions[0] == 1
-    assert rep.confusion[0] == "FP"
+    assert confusion_partition(rep, np.array([0]))[0] == "FP"
 
 
 def test_threshold_pair_bounds():
@@ -119,16 +112,6 @@ def test_threshold_pair_bounds():
 def test_split_assignment_rejects_overlap():
     with pytest.raises(ValueError):
         SplitAssignment(easy_ids=frozenset({1, 2}), difficult_ids=frozenset({2, 3}))
-
-
-def test_confusion_partition_rejects_overlap():
-    with pytest.raises(ValueError):
-        ConfusionPartition(
-            tp_ids=frozenset({1}),
-            fp_ids=frozenset({1}),
-            tn_ids=frozenset(),
-            fn_ids=frozenset(),
-        )
 
 
 @given(
@@ -145,10 +128,11 @@ def test_confusion_partition_partitions_ids(rows):
     probs = np.array([r[0] for r in rows])
     labels = np.array([r[1] for r in rows])
     rep = prediction_report(probs, labels, np.arange(len(rows)))
-    part = confusion_partition(rep, labels)
-    cells = [part.tp_ids, part.fp_ids, part.tn_ids, part.fn_ids]
-    assert sum(len(c) for c in cells) == len(rows)
-    assert part.all_ids == frozenset(range(len(rows)))
-    # errors are exactly the rows where prediction and label disagree
-    wrong = {int(i) for i, p, y in zip(rep.ids, rep.predictions, labels) if p != y}
-    assert part.error_ids == wrong
+    tags = confusion_partition(rep, labels)
+    # every row gets exactly one tag
+    assert tags.shape == (len(rows),)
+    assert set(tags.tolist()) <= set(CONFUSION_TAGS)
+    # error tags sit exactly where prediction and label disagree
+    assert np.array_equal(np.isin(tags, ("FP", "FN")), rep.predictions != labels)
+    # the tag's second letter is the prediction: P for 1, N for 0
+    assert [t[1] for t in tags] == ["P" if p else "N" for p in rep.predictions]

@@ -1,4 +1,6 @@
 """Config file round-trips, stage-tagged failures, and the CLI surface."""
+import csv
+import io
 import json
 
 import numpy as np
@@ -13,7 +15,7 @@ from guidedboost.harness.config import (
     load_config,
     save_config,
 )
-from guidedboost.harness.experiment import StageError, run_experiment
+from guidedboost.harness.experiment import StageError, prepare, run_experiment
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.pipeline import RetrainConfig
@@ -119,6 +121,20 @@ def test_cli_run_writes_bundle(run_dir, capsys):
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["n_samples"] == 200
     assert "error_capture_pct" in summary
+
+
+def test_run_metrics_rows_count_the_test_split(run_dir):
+    prep = prepare(_small_cfg())
+    test = prep.assignments["test"]
+    n_test = prep.test.n_samples
+    assert test.easy_ids and test.difficult_ids  # fixture sanity: both scopes reported
+    table = csv.DictReader(io.StringIO((run_dir / "metrics.csv").read_text()))
+    n = {(r["predictor"], r["scope"]): int(r["n"]) for r in table}
+    assert n["base", "easy"] == len(test.easy_ids)
+    assert n["base", "difficult"] == len(test.difficult_ids)
+    assert n["base", "easy"] + n["base", "difficult"] == n_test
+    for variant in ("guided", "classic"):
+        assert n[variant, "combined"] == n_test
 
 
 def test_cli_partial_commands(run_dir, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_blobs
 
 from guidedboost.classifiers.knn import NearestNeighborModel
-from guidedboost.data import FeatureMatrix, prediction_report
+from guidedboost.data import FeatureMatrix, confusion_partition, prediction_report
 
 
 def brute_force_neighbor(train_values, train_ids, x):
@@ -27,7 +27,7 @@ def test_self_prediction_has_zero_errors():
     model = NearestNeighborModel.fit(data)
     rep = prediction_report(model.predict_proba(data.values), data.labels, data.ids)
     assert np.array_equal(rep.predictions, data.labels)
-    assert set(rep.confusion.tolist()) <= {"TP", "TN"}
+    assert set(confusion_partition(rep, data.labels).tolist()) <= {"TP", "TN"}
 
 
 def test_equidistant_tie_prefers_lowest_id():

@@ -37,8 +37,8 @@ def test_logistic_matches_grid_oracle_on_blobs():
 
 def test_logistic_determinism_and_output_range():
     data = make_blobs(seed=1)
-    m1 = train_logistic(data, LinearConfig(seed=7))
-    m2 = train_logistic(data, LinearConfig(seed=7))
+    m1 = train_logistic(data, LinearConfig())
+    m2 = train_logistic(data, LinearConfig())
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
     probs = m1.predict_proba(data.values)

@@ -81,17 +81,12 @@ def test_combined_report_merges_subsets():
     assert diff.scope == "difficult" and diff.n == 2
 
 
-def test_combined_report_empty_side_and_overlap():
+def test_combined_report_empty_side():
     combined, easy, diff = combined_report(
         np.array([1]), np.array([1]), np.array([], dtype=int), np.array([], dtype=int)
     )
     assert diff is None
     assert combined.n == 1
-    with pytest.raises(ValueError):
-        combined_report(
-            np.array([1]), np.array([1]), np.array([0]), np.array([0]),
-            easy_ids=np.array([3]), difficult_ids=np.array([3]),
-        )
 
 
 @given(

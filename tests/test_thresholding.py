@@ -18,7 +18,7 @@ from guidedboost.thresholding import (
 
 # ---------------------------------------------------------------- oracle
 
-def oracle_thresholds(probs, ids, fp_ids, fn_ids, tolerated):
+def oracle_thresholds(probs, confusion, tolerated):
     """Exhaustive scan over candidate cuts; the extreme cut within budget wins.
 
     Positive side: smallest t (among distinct positive-side probabilities and
@@ -26,9 +26,8 @@ def oracle_thresholds(probs, ids, fp_ids, fn_ids, tolerated):
     moves just past the top. Negative side mirrored.
     """
     p = np.asarray(probs, dtype=np.float64)
-    ids = np.asarray(ids, dtype=np.int64)
-    is_fp = np.array([int(i) in fp_ids for i in ids])
-    is_fn = np.array([int(i) in fn_ids for i in ids])
+    is_fp = np.array([tag == "FP" for tag in confusion], dtype=bool)
+    is_fn = np.array([tag == "FN" for tag in confusion], dtype=bool)
     pos = p >= 0.5
 
     def fp_count(t):
@@ -54,21 +53,28 @@ def oracle_thresholds(probs, ids, fp_ids, fn_ids, tolerated):
 
 
 def random_instance(rng, n_max=200):
-    """Probabilities (ties included, endpoints excluded), labels, budgets."""
+    """Probabilities (ties included, endpoints excluded), confusion tags, budgets."""
     n = int(rng.integers(1, n_max + 1))
     if rng.random() < 0.5:
         probs = np.round(rng.uniform(0.01, 0.99, size=n), 2)  # force ties
     else:
         probs = rng.uniform(0.001, 0.999, size=n)
     labels = rng.integers(0, 2, size=n)
-    ids = rng.permutation(10 * n)[:n].astype(np.int64)
-    preds = (probs >= 0.5).astype(np.int64)
-    fp_ids = frozenset(int(i) for i in ids[(preds == 1) & (labels == 0)])
-    fn_ids = frozenset(int(i) for i in ids[(preds == 0) & (labels == 1)])
+    confusion = confusion_partition(prediction_report(probs, labels, np.arange(n)), labels)
     tol = tolerated_counts(
-        float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), len(fp_ids), len(fn_ids)
+        float(rng.uniform(0, 100)), float(rng.uniform(0, 100)),
+        int(np.sum(confusion == "FP")), int(np.sum(confusion == "FN")),
     )
-    return probs, ids, fp_ids, fn_ids, tol
+    return probs, confusion, tol
+
+
+def tags(n, fp=(), fn=()):
+    """n confusion tags: FP/FN at the given positions, TP elsewhere (calibration
+    reads only the error tags)."""
+    out = np.array(["TP"] * n, dtype="<U2")
+    out[list(fp)] = "FP"
+    out[list(fn)] = "FN"
+    return out
 
 
 # ------------------------------------------------------- tolerated counts
@@ -99,15 +105,14 @@ def test_tolerated_counts_validation():
 def test_positive_side_one_tolerated_fp():
     # ranking (0.99 TP)(0.95 FP)(0.90 TP)(0.80 FP): one FP fits, cut at 0.90
     probs = np.array([0.99, 0.95, 0.90, 0.80])
-    ids = np.arange(4)
-    th = select_thresholds(probs, ids, {1, 3}, set(), ToleratedCounts(1, 0))
+    th = select_thresholds(probs, tags(4, fp=[1, 3]), ToleratedCounts(1, 0))
     assert th.th_p == 0.90
     assert th.th_n == 0.5  # no negative side at all
 
 
 def test_budget_exhaustion_makes_side_easy():
     probs = np.array([0.99, 0.95, 0.90, 0.80])
-    th = select_thresholds(probs, np.arange(4), {1, 3}, set(), ToleratedCounts(2, 0))
+    th = select_thresholds(probs, tags(4, fp=[1, 3]), ToleratedCounts(2, 0))
     assert th.th_p == 0.5
 
 
@@ -115,7 +120,7 @@ def test_over_budget_top_error_leaves_side_difficult():
     # the top-ranked sample is an FP and nothing is tolerated: no cut can keep
     # it out of the easy side, so the cut moves just past the top probability
     probs = np.array([0.99, 0.95])
-    th = select_thresholds(probs, np.arange(2), {0}, set(), ToleratedCounts(0, 0))
+    th = select_thresholds(probs, tags(2, fp=[0]), ToleratedCounts(0, 0))
     assert th.th_p > 0.99
     assert th.th_p <= 1.0
     a = split_dataset(probs, th)
@@ -126,36 +131,36 @@ def test_over_budget_top_error_leaves_side_difficult():
 def test_negative_side_mirror():
     # FNs at 0.10 and 0.35; one tolerated: cut settles between them
     probs = np.array([0.10, 0.20, 0.35, 0.45])
-    th = select_thresholds(probs, np.arange(4), set(), {0, 2}, ToleratedCounts(0, 1))
+    th = select_thresholds(probs, tags(4, fn=[0, 2]), ToleratedCounts(0, 1))
     assert th.th_n == 0.20
     assert th.th_p == 0.5
 
 
 def test_select_thresholds_validation():
     with pytest.raises(ValueError):
-        select_thresholds(np.array([0.5, 1.2]), np.arange(2), set(), set(), ToleratedCounts(0, 0))
+        select_thresholds(np.array([0.5, 1.2]), tags(2), ToleratedCounts(0, 0))
     with pytest.raises(ValueError):
-        select_thresholds(np.array([0.5]), np.arange(1), {9}, set(), ToleratedCounts(0, 0))
-    with pytest.raises(ValueError):
-        select_thresholds(np.array([0.5, 0.6]), np.arange(3), set(), set(), ToleratedCounts(0, 0))
+        select_thresholds(np.array([0.5, 0.6]), tags(3), ToleratedCounts(0, 0))
 
 
 def test_oracle_agreement_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        probs, ids, fp_ids, fn_ids, tol = random_instance(rng)
-        got = select_thresholds(probs, ids, fp_ids, fn_ids, tol)
-        want = oracle_thresholds(probs, ids, fp_ids, fn_ids, tol)
+        probs, confusion, tol = random_instance(rng)
+        got = select_thresholds(probs, confusion, tol)
+        want = oracle_thresholds(probs, confusion, tol)
         assert got == want
 
 
 def test_error_budget_and_partition_random_instances():
     rng = np.random.default_rng(99)
     for _ in range(200):
-        probs, ids, fp_ids, fn_ids, tol = random_instance(rng)
-        th = select_thresholds(probs, ids, fp_ids, fn_ids, tol)
-        a = split_dataset(probs, th, ids)
-        assert a.easy_ids | a.difficult_ids == set(int(i) for i in ids)
+        probs, confusion, tol = random_instance(rng)
+        th = select_thresholds(probs, confusion, tol)
+        a = split_dataset(probs, th)
+        fp_ids = set(np.flatnonzero(confusion == "FP").tolist())
+        fn_ids = set(np.flatnonzero(confusion == "FN").tolist())
+        assert a.easy_ids | a.difficult_ids == set(range(len(probs)))
         assert not (a.easy_ids & a.difficult_ids)
         easy_fp = len(a.easy_ids & fp_ids)
         easy_fn = len(a.easy_ids & fn_ids)
@@ -180,6 +185,14 @@ def test_split_dataset_examples():
     assert a.easy_ids == frozenset({0, 1})
 
 
+def test_easy_rule_gives_the_boundary_to_the_positive_side():
+    probs = np.array([0.2, 0.3, 0.49, 0.5, 0.7, 0.9])
+    assert ThresholdPair(0.3, 0.7).easy(probs).tolist() == [True, True, False, False, True, True]
+    # th_n = 0.5 claims the strict negative side only; 0.5 is easy only via th_p
+    assert ThresholdPair(0.5, 0.9).easy(probs).tolist() == [True, True, True, False, False, True]
+    assert ThresholdPair(0.5, 0.5).easy(probs).all()
+
+
 def test_split_dataset_custom_ids():
     a = split_dataset(np.array([0.4, 0.6]), ThresholdPair(0.5, 0.5), ids=np.array([7, 9]))
     assert a.easy_ids == frozenset({7, 9})
@@ -202,12 +215,12 @@ def _curve_fixture():
     probs = np.array([0.1, 0.3, 0.6, 0.8, 0.55])
     labels = np.array([1, 0, 0, 0, 1])  # FNs at 0.1; FPs at 0.6 and 0.8
     rep = prediction_report(probs, labels, np.arange(5))
-    return probs, np.arange(5), confusion_partition(rep, labels)
+    return probs, confusion_partition(rep, labels)
 
 
 def test_curve_hand_counts():
-    probs, ids, part = _curve_fixture()
-    pts = accumulated_error_curve(probs, ids, part, np.array([0.0, 0.05, 0.2, 0.5, 0.7, 1.0]))
+    probs, confusion = _curve_fixture()
+    pts = accumulated_error_curve(probs, confusion, np.array([0.0, 0.05, 0.2, 0.5, 0.7, 1.0]))
     by_t = {round(p.threshold, 2): p for p in pts}
     assert by_t[0.0].side == "fn" and by_t[0.0].count == 0
     assert by_t[0.2].count == 1  # the FN at 0.1
@@ -217,11 +230,11 @@ def test_curve_hand_counts():
 
 
 def test_curve_grid_validation():
-    probs, ids, part = _curve_fixture()
+    probs, confusion = _curve_fixture()
     with pytest.raises(ValueError):
-        accumulated_error_curve(probs, ids, part, np.array([-0.1]))
+        accumulated_error_curve(probs, confusion, np.array([-0.1]))
     with pytest.raises(ValueError):
-        accumulated_error_curve(probs, np.arange(4), part, np.array([0.5]))
+        accumulated_error_curve(probs, confusion[:4], np.array([0.5]))
 
 
 @settings(max_examples=40)
@@ -232,8 +245,8 @@ def test_curve_monotone(seed):
     probs = rng.uniform(0.001, 0.999, size=n)
     labels = rng.integers(0, 2, size=n)
     rep = prediction_report(probs, labels, np.arange(n))
-    part = confusion_partition(rep, labels)
-    pts = accumulated_error_curve(probs, np.arange(n), part, np.linspace(0, 1, 101))
+    confusion = confusion_partition(rep, labels)
+    pts = accumulated_error_curve(probs, confusion, np.linspace(0, 1, 101))
     fn_counts = [p.count for p in pts if p.side == "fn"]
     fp_counts = [p.count for p in pts if p.side == "fp"]
     assert all(a <= b for a, b in zip(fn_counts, fn_counts[1:]))
