@@ -44,32 +44,32 @@ def _gini(n: int, pos: int | float) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
     """Exhaustive midpoint search over all features.
 
-    Returns (feature, threshold, weighted_gini) or None when no split leaves
-    at least min_leaf samples on both sides. Ties keep the first candidate in
-    scan order (lowest feature index, then lowest threshold).
+    Row j of ``xs`` holds the node's values of feature j in ascending order,
+    ties in sample order (a stable sort), and row j of ``ys`` the labels in
+    that order. Returns (feature, threshold, weighted_gini) or None when no
+    split leaves at least min_leaf samples on both sides. Ties keep the first
+    candidate in scan order (lowest feature index, then lowest threshold).
     """
-    n = len(y)
+    n = xs.shape[1]
+    # split after position i keeps i+1 samples on the left
+    i = np.arange(min_leaf - 1, n - min_leaf)
+    if len(i) == 0:
+        return None
+    prefix = np.cumsum(ys, axis=1)
     best = None
     best_score = np.inf
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        prefix_pos = np.cumsum(y[order])
+    for j in range(xs.shape[0]):
+        x, prefix_pos = xs[j], prefix[j]
         total_pos = prefix_pos[-1]
-        # split after position i keeps i+1 samples on the left
-        i = np.arange(min_leaf - 1, n - min_leaf)
-        if len(i) == 0:
+        cut = i[x[i] < x[i + 1]]
+        if len(cut) == 0:
             continue
-        distinct = xs[i] < xs[i + 1]
-        i = i[distinct]
-        if len(i) == 0:
-            continue
-        ln = (i + 1).astype(np.float64)
+        ln = (cut + 1).astype(np.float64)
         rn = n - ln
-        lp = prefix_pos[i]
+        lp = prefix_pos[cut]
         rp = total_pos - lp
         gl = 1.0 - (lp / ln) ** 2 - ((ln - lp) / ln) ** 2
         gr = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
@@ -77,29 +77,54 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
         k = int(np.argmin(scores))
         if scores[k] < best_score:
             best_score = float(scores[k])
-            best = (j, float((xs[i[k]] + xs[i[k] + 1]) / 2.0))
+            best = (j, float((x[cut[k]] + x[cut[k] + 1]) / 2.0))
     if best is None:
         return None
     return best[0], best[1], best_score
 
 
-def _grow(X: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig) -> _Node:
+def _grow(xs: np.ndarray, ys: np.ndarray, orders: np.ndarray, y: np.ndarray,
+          depth: int, cfg: ForestConfig) -> _Node:
+    """Grow the subtree of one node's samples.
+
+    ``y`` holds the labels by sample, ``xs``/``ys`` the values and labels per
+    feature in stable sorted order, and ``orders[j]`` the sample at each
+    position of that order.
+    """
     n = len(y)
     pos = int(y.sum())
     node_gini = _gini(n, pos)
     if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or node_gini == 0.0:
         return _Node(p1=pos / n)
-    found = _best_split(X, y, cfg.min_leaf)
+    found = _best_split(xs, ys, cfg.min_leaf)
     if found is None or found[2] >= node_gini:
         return _Node(p1=pos / n)
     j, t, _ = found
-    go_left = X[:, j] <= t
+    go_left = np.zeros(n, dtype=bool)
+    go_left[orders[j, : np.searchsorted(xs[j], t, side="right")]] = True
     return _Node(
         feature=j,
         threshold=t,
-        left=_grow(X[go_left], y[go_left], depth + 1, cfg),
-        right=_grow(X[~go_left], y[~go_left], depth + 1, cfg),
+        left=_grow(*_child(xs, ys, orders, y, go_left), depth + 1, cfg),
+        right=_grow(*_child(xs, ys, orders, y, ~go_left), depth + 1, cfg),
     )
+
+
+def _child(xs: np.ndarray, ys: np.ndarray, orders: np.ndarray, y: np.ndarray,
+           keep: np.ndarray):
+    """The kept samples, still sorted per feature and renumbered.
+
+    Dropping samples from a stable order leaves the stable order of the rest,
+    so no node below the root sorts.
+    """
+    # compress on flat arrays: much faster than boolean indexing in 2-D
+    kept = keep[orders].ravel()
+    shape = (len(orders), -1)
+    renumber = np.cumsum(keep) - 1
+    return (xs.ravel().compress(kept).reshape(shape),
+            ys.ravel().compress(kept).reshape(shape),
+            renumber[orders.ravel().compress(kept)].reshape(shape),
+            y.compress(keep))
 
 
 def _tree_proba(node: _Node, X: np.ndarray, out: np.ndarray, rows: np.ndarray):
@@ -198,9 +223,20 @@ def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) ->
         raise ValueError("train_random_forest: need at least one tree")
     X, y = data.values, data.labels
     n = data.n_samples
+    # per feature, each value's rank among its distinct values (ties share)
+    ranks = np.empty((data.n_features, n), dtype=np.int64)
+    for j, column in enumerate(X.T):
+        ranks[j] = np.unique(column, return_inverse=True)[1]
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng([cfg.seed, t])
         rows = rng.integers(0, n, size=n)
-        trees.append(_grow(X[rows], y[rows], 0, cfg))
+        # keys ordered by value, then by bootstrap position: one plain sort of
+        # these unique keys gives the stable argsort of each sampled feature
+        keys = ranks[:, rows] * n + np.arange(n)
+        keys.sort(axis=1)
+        orders = keys % n
+        picked = rows[orders]
+        xs = np.take_along_axis(X.T, picked, 1)
+        trees.append(_grow(xs, y[picked], orders, y[rows], 0, cfg))
     return ForestModel(trees=tuple(trees))

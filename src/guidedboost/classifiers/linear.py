@@ -112,11 +112,17 @@ def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> Linea
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(cfg.epochs):
-        margins = y * (X @ w + b)
-        viol = margins < 1.0
+        # y * (X @ w + b), in place on the product
+        margins = X @ w
+        margins += b
+        margins *= y
+        # the violating rows, compacted by index: faster than a boolean mask
+        # and the same rows in the same order, so the sums keep their bits
+        viol = np.flatnonzero(margins < 1.0)
+        Xv, yv = X.take(viol, axis=0), y.take(viol)
         # subgradient of mean hinge + (reg/2)*||w||^2
-        grad_w = cfg.regularization * w - (X[viol].T @ y[viol]) / n
-        grad_b = -float(y[viol].sum()) / n
+        grad_w = cfg.regularization * w - (Xv.T @ yv) / n
+        grad_b = -float(yv.sum()) / n
         w -= cfg.learning_rate * grad_w
         b -= cfg.learning_rate * grad_b
     return LinearModel(weights=w, bias=b, kind="svm")

@@ -38,7 +38,7 @@ def split_80_10_10(
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or min(fractions) <= 0.0 or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split_80_10_10: fractions must be three positives summing to 1")
-    parts: list[list[int]] = [[], [], []]
+    parts: list[list[np.ndarray]] = [[], [], []]
     for cls in (0, 1):
         members = np.flatnonzero(data.labels == cls)
         if len(members) == 0:
@@ -50,7 +50,7 @@ def split_80_10_10(
         rng = np.random.default_rng([seed, cls])
         members = members[rng.permutation(len(members))]
         n_train, n_val, _ = _allocate(len(members), fractions)
-        parts[0].extend(members[:n_train])
-        parts[1].extend(members[n_train : n_train + n_val])
-        parts[2].extend(members[n_train + n_val :])
-    return tuple(data.subset(np.sort(np.asarray(p, dtype=np.int64))) for p in parts)
+        parts[0].append(members[:n_train])
+        parts[1].append(members[n_train : n_train + n_val])
+        parts[2].append(members[n_train + n_val :])
+    return tuple(data.subset(np.sort(np.concatenate(p))) for p in parts)

@@ -84,13 +84,16 @@ class BatchNorm:
             xhat *= inv_std
             self._xhat = xhat
             self._inv_std = inv_std
+            out = self.gamma * xhat
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = x - self.running_mean
-            xhat *= inv_std
+            # scale and shift in place on our own temporary: nothing caches
+            # xhat in eval mode, and xhat * gamma has the bits of gamma * xhat
+            out = x - self.running_mean
+            out *= inv_std
+            out *= self.gamma
             self._xhat = None
             self._inv_std = None
-        out = self.gamma * xhat
         out += self.beta
         return out
 

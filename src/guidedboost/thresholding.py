@@ -134,8 +134,8 @@ def split_dataset(
         raise ValueError("split_dataset: probs and ids must be matching 1-D arrays")
     easy = thresholds.easy(p)
     return SplitAssignment(
-        easy_ids=frozenset(int(i) for i in ids[easy]),
-        difficult_ids=frozenset(int(i) for i in ids[~easy]),
+        easy_ids=frozenset(ids[easy].tolist()),
+        difficult_ids=frozenset(ids[~easy].tolist()),
     )
 
 

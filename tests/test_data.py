@@ -41,6 +41,23 @@ def test_feature_matrix_rejects_bad_input():
         )
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [[5, 5], [-3, 1, -3], [0, -1, 2, -1], [7, 3, 9, 3, 8], [-2**62, 2**62, -2**62]],
+)
+def test_feature_matrix_rejects_duplicate_ids(ids):
+    n = len(ids)
+    with pytest.raises(ValueError, match="ids must be unique"):
+        FeatureMatrix(values=np.zeros((n, 1)), labels=np.zeros(n, dtype=np.int64), ids=ids)
+
+
+@pytest.mark.parametrize("ids", [[], [7], [-1], [-2, -1, 0], [9, -4, 3, 0, -7], [-2**62, 2**62]])
+def test_feature_matrix_accepts_unique_ids(ids):
+    n = len(ids)
+    fm = FeatureMatrix(values=np.zeros((n, 1)), labels=np.zeros(n, dtype=np.int64), ids=ids)
+    assert np.array_equal(fm.ids, ids)  # kept in the given order
+
+
 def test_feature_matrix_is_immutable():
     fm = FeatureMatrix.from_arrays([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValueError):
@@ -112,6 +129,10 @@ def test_threshold_pair_bounds():
 def test_split_assignment_rejects_overlap():
     with pytest.raises(ValueError):
         SplitAssignment(easy_ids=frozenset({1, 2}), difficult_ids=frozenset({2, 3}))
+    with pytest.raises(ValueError):
+        SplitAssignment(easy_ids=[1, 2], difficult_ids={2, 3})
+    a = SplitAssignment(easy_ids=[1, 2], difficult_ids={3})
+    assert a.easy_ids == frozenset({1, 2}) and type(a.difficult_ids) is frozenset
 
 
 @given(

@@ -5,6 +5,8 @@ from conftest import make_blobs
 
 from guidedboost.classifiers.forest import (
     ForestConfig,
+    ForestModel,
+    _Node,
     forest_from_arrays,
     forest_to_arrays,
     train_random_forest,
@@ -150,3 +152,87 @@ def test_forest_validation():
     data = make_blobs(n_per_class=5)
     with pytest.raises(ValueError):
         train_random_forest(data, ForestConfig(n_trees=0))
+
+
+def _reference_best_split(X, y, min_leaf):
+    """The first split search: a stable argsort of every feature at every node."""
+    n = len(y)
+    best = None
+    best_score = np.inf
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        prefix_pos = np.cumsum(y[order])
+        total_pos = prefix_pos[-1]
+        i = np.arange(min_leaf - 1, n - min_leaf)
+        if len(i) == 0:
+            continue
+        i = i[xs[i] < xs[i + 1]]
+        if len(i) == 0:
+            continue
+        ln = (i + 1).astype(np.float64)
+        rn = n - ln
+        lp = prefix_pos[i]
+        rp = total_pos - lp
+        gl = 1.0 - (lp / ln) ** 2 - ((ln - lp) / ln) ** 2
+        gr = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
+        scores = (ln * gl + rn * gr) / n
+        k = int(np.argmin(scores))
+        if scores[k] < best_score:
+            best_score = float(scores[k])
+            best = (j, float((xs[i[k]] + xs[i[k] + 1]) / 2.0))
+    return None if best is None else (*best, best_score)
+
+
+def _reference_grow(X, y, depth, cfg):
+    n = len(y)
+    pos = int(y.sum())
+    p = pos / n
+    node_gini = 2.0 * p * (1.0 - p)
+    if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or node_gini == 0.0:
+        return _Node(p1=pos / n)
+    found = _reference_best_split(X, y, cfg.min_leaf)
+    if found is None or found[2] >= node_gini:
+        return _Node(p1=pos / n)
+    j, t, _ = found
+    go_left = X[:, j] <= t
+    return _Node(
+        feature=j,
+        threshold=t,
+        left=_reference_grow(X[go_left], y[go_left], depth + 1, cfg),
+        right=_reference_grow(X[~go_left], y[~go_left], depth + 1, cfg),
+    )
+
+
+def _tied_data(rng, n, d, levels):
+    """Features drawn from a few repeated values, so most sorts hit ties."""
+    X = rng.integers(0, levels, size=(n, d)) * 0.5 - 1.0
+    y = ((X[:, 0] + 0.7 * rng.normal(size=n)) > 0).astype(np.int64)
+    y[: n // 10] ^= 1  # label noise keeps the nodes impure
+    return FeatureMatrix.from_arrays(X, y)
+
+
+@pytest.mark.parametrize(
+    "n, d, levels, min_leaf, max_depth",
+    [
+        (200, 4, 3, 1, 8),     # coarse values: ties everywhere
+        (300, 3, 12, 2, 10),
+        (150, 5, 1000, 3, 6),  # nearly distinct values
+        (40, 2, 4, 10, 8),     # min_leaf = 10: nodes under 20 rows stop
+        (21, 3, 5, 5, 8),      # children soon too small to split
+        (8, 2, 8, 4, 3),       # n == 2 * min_leaf: one candidate cut at the root
+    ],
+)
+def test_forest_matches_per_node_argsort_reference(n, d, levels, min_leaf, max_depth):
+    rng = np.random.default_rng(n * 31 + d)
+    data = _tied_data(rng, n, d, levels)
+    cfg = ForestConfig(n_trees=4, max_depth=max_depth, min_leaf=min_leaf, seed=n)
+    trees = []
+    for t in range(cfg.n_trees):
+        rows = bootstrap_rows(cfg.seed, t, n)
+        trees.append(_reference_grow(data.values[rows], data.labels[rows], 0, cfg))
+    expected = forest_to_arrays(ForestModel(trees=tuple(trees)))
+    got = forest_to_arrays(train_random_forest(data, cfg))
+    assert len(expected["p1"]) > cfg.n_trees  # at least one tree split
+    for key, value in expected.items():
+        assert np.array_equal(got[key], value), key

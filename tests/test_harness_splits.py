@@ -72,6 +72,33 @@ def test_split_determinism():
     assert any(not np.array_equal(x.ids, y.ids) for x, y in zip(a, c))
 
 
+def _reference_split_positions(data, fractions, seed):
+    """The first dealing: Python lists extended class by class, then sorted."""
+    parts = [[], [], []]
+    for cls in (0, 1):
+        members = np.flatnonzero(data.labels == cls)
+        if len(members) == 0:
+            continue
+        rng = np.random.default_rng([seed, cls])
+        members = members[rng.permutation(len(members))]
+        n_train, n_val, _ = _allocate(len(members), fractions)
+        parts[0].extend(members[:n_train])
+        parts[1].extend(members[n_train : n_train + n_val])
+        parts[2].extend(members[n_train + n_val :])
+    return [np.sort(np.asarray(p, dtype=np.int64)) for p in parts]
+
+
+@pytest.mark.parametrize("counts", [(5, 5), (0, 12), (3, 40), (37, 29), (500, 123)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_split_matches_reference_dealing(counts, seed):
+    data = _labeled(counts, seed=seed)
+    for fractions in ((0.8, 0.1, 0.1), (0.5, 0.3, 0.2)):
+        parts = split_80_10_10(data, fractions, seed=seed)
+        for part, positions in zip(parts, _reference_split_positions(data, fractions, seed)):
+            assert np.array_equal(part.ids, data.ids[positions])
+            assert np.array_equal(part.values, data.values[positions])
+
+
 def test_split_custom_fractions():
     train, val, test = split_80_10_10(_labeled((30, 30)), fractions=(0.5, 0.3, 0.2))
     assert (train.n_samples, val.n_samples, test.n_samples) == (30, 18, 12)

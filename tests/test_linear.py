@@ -105,3 +105,33 @@ def test_linear_model_validation():
         model.predict_proba(np.zeros((3, 2)))  # svm has no native probabilities
     with pytest.raises(ValueError):
         model.weights[0] = 1.0  # frozen
+
+
+def _reference_svm(data, cfg):
+    """The first subgradient loop, boolean-mask indexing and all."""
+    X = data.values
+    y = np.where(data.labels == 1, 1.0, -1.0)
+    n = X.shape[0]
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for _ in range(cfg.epochs):
+        margins = y * (X @ w + b)
+        viol = margins < 1.0
+        grad_w = cfg.regularization * w - (X[viol].T @ y[viol]) / n
+        grad_b = -float(y[viol].sum()) / n
+        w -= cfg.learning_rate * grad_w
+        b -= cfg.learning_rate * grad_b
+    return w, b
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 2, 40])
+def test_svm_matches_reference_loop_bit_for_bit(epochs):
+    # overlapping blobs keep a changing share of rows inside the margin;
+    # epoch 1 starts from w = 0, where every row violates
+    for seed, (n, d) in enumerate([(2, 1), (60, 3), (700, 12), (3001, 7)]):
+        data = make_blobs(n_per_class=n, n_features=d, gap=1.0, scale=1.5, seed=seed)
+        cfg = SvmConfig(learning_rate=0.3, epochs=epochs, regularization=1e-3)
+        model = train_linear_svm(data, cfg)
+        w, b = _reference_svm(data, cfg)
+        assert np.array_equal(model.weights, w)
+        assert model.bias == b

@@ -184,7 +184,9 @@ def test_batchnorm_matches_reference_formulas_bit_for_bit():
         expected = layer.gamma * (
             (x - layer.running_mean) * (1.0 / np.sqrt(layer.running_var + layer.eps))
         ) + layer.beta
+        before = x.copy()
         assert np.array_equal(layer.forward(x, False), expected)
+        assert np.array_equal(x, before)  # eval works on its own buffer
 
 
 def test_linear_forward_matches_reference_bit_for_bit():

@@ -196,6 +196,8 @@ def test_easy_rule_gives_the_boundary_to_the_positive_side():
 def test_split_dataset_custom_ids():
     a = split_dataset(np.array([0.4, 0.6]), ThresholdPair(0.5, 0.5), ids=np.array([7, 9]))
     assert a.easy_ids == frozenset({7, 9})
+    assert type(a.easy_ids) is frozenset
+    assert all(type(i) is int for i in a.easy_ids)  # Python ints, not numpy scalars
 
 
 @given(
