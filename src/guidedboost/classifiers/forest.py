@@ -21,6 +21,12 @@ class ForestConfig:
     min_leaf: int = 2
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("n_trees", "min_leaf"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"ForestConfig: {name} must be at least 1, got {value}")
+
 
 @dataclass(frozen=True)
 class _Node:
@@ -219,8 +225,6 @@ def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) ->
     cfg = cfg or ForestConfig()
     if data.n_samples == 0:
         raise ValueError("train_random_forest: training data is empty")
-    if cfg.n_trees < 1:
-        raise ValueError("train_random_forest: need at least one tree")
     X, y = data.values, data.labels
     n = data.n_samples
     # per feature, each value's rank among its distinct values (ties share)

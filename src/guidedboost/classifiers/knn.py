@@ -13,7 +13,9 @@ import numpy as np
 
 from ..data import FeatureMatrix
 
-_CHUNK = 256
+# float64 entries per block of query-to-training distances (4 MB), so a
+# block's temporaries stay in cache however many training rows there are
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -41,20 +43,28 @@ class NearestNeighborModel:
             raise ValueError("neighbor_positions: query width does not match training data")
         xx = np.einsum("ij,ij->i", self.values, self.values)
         winners = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], _CHUNK):
-            Q = X[start : start + _CHUNK]
-            qq = np.einsum("ij,ij->i", Q, Q)
-            d2 = qq[:, None] + xx[None, :] - 2.0 * (Q @ self.values.T)
+        step = max(2, _BLOCK_ENTRIES // len(self.values))
+        # qq + xx - 2 Q V^T, in that order, built in two buffers that every
+        # block reuses
+        dist = np.empty((min(step, X.shape[0]), len(self.values)))
+        gram = np.empty_like(dist)
+        for start in range(0, X.shape[0], step):
+            Q = X[start : start + step]
+            d2, g = dist[: len(Q)], gram[: len(Q)]
+            np.matmul(Q, self.values.T, out=g)
+            g *= 2.0
+            np.add(np.einsum("ij,ij->i", Q, Q)[:, None], xx[None, :], out=d2)
+            d2 -= g
             np.maximum(d2, 0.0, out=d2)
-            mins = d2.min(axis=1)
-            # re-measure near-minimal candidates exactly so float noise from
-            # the dot-product expansion cannot steal a tie
-            for r in range(Q.shape[0]):
-                tol = 1e-9 * (1.0 + mins[r])
-                cand = np.flatnonzero(d2[r] <= mins[r] + tol)
-                if len(cand) == 1:
-                    winners[start + r] = cand[0]
-                    continue
+            best = d2.argmin(axis=1)
+            mins = d2[np.arange(len(Q)), best]
+            near = d2 <= (mins + 1e-9 * (1.0 + mins))[:, None]
+            # a row with one near-minimal candidate keeps its argmin; a row
+            # with several re-measures them exactly, so float noise from the
+            # dot-product expansion cannot steal a tie
+            winners[start : start + len(Q)] = best
+            for r in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+                cand = np.flatnonzero(near[r])
                 diffs = self.values[cand] - Q[r]
                 exact = np.einsum("ij,ij->i", diffs, diffs)
                 winners[start + r] = cand[np.argmin(exact)]

@@ -352,7 +352,7 @@ def run_experiment(
                 pipe = pipelines[name]
                 if pipe is None:
                     continue
-                aux_preds = pipe.stage.auxiliary.predict(pipe.stage.embed(difficult_test.values))
+                aux_preds = pipe.stage.predict(difficult_test.values)
                 comb_report, _, diff_report = combined_report(
                     base_preds[easy], test.labels[easy], aux_preds, difficult_test.labels,
                 )

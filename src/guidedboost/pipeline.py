@@ -6,6 +6,10 @@ goes through the pipeline's retraining `Stage`, whose embedder feeds the
 auxiliary head. A guided stage embeds through the four confusion-pair Models
 and Model 5 on their concatenated embeddings; a classic stage (the baseline)
 through a single Model.
+
+Prediction runs the stage over fixed blocks of ``PREDICT_BLOCK_ROWS`` rows,
+so the memory it needs is bounded at any input size, and a row's label does
+not depend on the batch it came in.
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ MODEL_PAIRS = (("TP", "FP"), ("TN", "FN"), ("TP", "TN"), ("FP", "FN"))
 # heads start from identical weights
 _EMBEDDER_TAG = 5
 _AUX_TAG = 6
+# rows per block of Stage.predict: each layer's temporaries stay this tall
+PREDICT_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -56,14 +62,27 @@ def concat_embeddings(
 ) -> np.ndarray:
     """Fixed-order concatenation of the four embedding blocks.
 
-    A skipped model contributes a zero block of the configured width so the
+    A skipped model leaves its block of the configured width at zero, so the
     concatenated layout never changes.
     """
-    n = X.shape[0]
-    blocks = []
-    for m in models:
-        blocks.append(np.zeros((n, block_width)) if m is None else m.embed(X))
-    return np.concatenate(blocks, axis=1)
+    out = np.zeros((X.shape[0], len(models) * block_width))
+    for k, m in enumerate(models):
+        if m is not None:
+            out[:, k * block_width : (k + 1) * block_width] = m.embed(X)
+    return out
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of PREDICT_BLOCK_ROWS rows covering ``range(n)``.
+
+    A 1-row tail joins the block before it: a 1-row matmul takes BLAS's
+    matrix-vector path, whose bits differ from the same row in a batch,
+    while blocks of two rows or more give the bits of one whole-batch pass.
+    """
+    starts = list(range(0, n, PREDICT_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 @dataclass
@@ -101,6 +120,16 @@ class Stage:
         if self.models_1_to_4:
             X = concat_embeddings(self.models_1_to_4, X, self.model.input_width // 4)
         return self.model.embed(X)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The head's labels, computed block by block (see ``_row_blocks``)."""
+        if X.shape[0] == 1:
+            # a lone row goes in twice, so it takes the batch path as well
+            return self.predict(np.repeat(X, 2, axis=0))[:1]
+        labels = np.empty(X.shape[0], dtype=np.int64)
+        for rows in _row_blocks(X.shape[0]):
+            labels[rows] = self.auxiliary.predict(self.embed(X[rows]))
+        return labels
 
 
 @contextmanager
@@ -266,7 +295,6 @@ def pipeline_predict(pipeline: Pipeline, samples: FeatureMatrix) -> tuple[np.nda
     routes = np.full(samples.n_samples, ROUTE_BASE, dtype="<U9")
     labels[easy] = base_pred[easy]
     if (~easy).any():
-        stage = pipeline.stage
-        labels[~easy] = stage.auxiliary.predict(stage.embed(X[~easy]))
+        labels[~easy] = pipeline.stage.predict(X[~easy])
         routes[~easy] = ROUTE_AUXILIARY
     return labels, routes

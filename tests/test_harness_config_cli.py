@@ -97,6 +97,16 @@ def test_run_experiment_tags_failing_stage(tmp_path):
     assert err.value.stage == "load"
 
 
+@pytest.mark.parametrize("base", ["forest", "knn"])
+@pytest.mark.parametrize("setting", ["min_leaf", "n_trees"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_forest_counts_below_one_name_the_setting(base, setting, value):
+    cfg = _small_cfg(base=base, base_params={setting: value})
+    with pytest.raises(StageError, match=f"{setting} must be at least 1, got {value}") as err:
+        prepare(cfg)
+    assert err.value.stage == "train-base"
+
+
 # ------------------------------------------------------------ CLI
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Retraining stages and end-to-end routing."""
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,21 @@ from guidedboost.data import (
     confusion_partition,
     prediction_report,
 )
-from guidedboost.nn.network import AuxiliaryClassifier, encoder_spec, projection_spec
+from guidedboost.nn.layers import BatchNorm
+from guidedboost.nn.network import (
+    AuxiliaryClassifier,
+    EncoderProjectionModel,
+    encoder_spec,
+    projection_spec,
+)
 from guidedboost.nn.training import TrainConfig
 from guidedboost.pipeline import (
     MODEL_PAIRS,
+    PREDICT_BLOCK_ROWS,
     Pipeline,
     RetrainConfig,
     Stage,
+    _row_blocks,
     classic_fit,
     concat_embeddings,
     guided_fit,
@@ -222,3 +231,131 @@ def test_classic_pipeline_predicts():
     if diff.any():
         want = pipe.stage.auxiliary.predict(pipe.stage.model.embed(data.values[diff]))
         assert np.array_equal(labels[diff], want)
+
+
+# ------------------------------------------------ block-wise prediction
+
+def _perturb_batch_norms(mlp, rng):
+    """Give every BatchNorm non-trivial affine and running statistics."""
+    for layer in mlp.layers:
+        if isinstance(layer, BatchNorm):
+            w = len(layer.gamma)
+            layer.gamma[:] = rng.uniform(0.5, 1.5, w)
+            layer.beta[:] = rng.normal(0.0, 0.3, w)
+            layer.running_mean[:] = rng.normal(0.0, 0.5, w)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, w)
+
+
+def _untrained_stage(guided, n_features=12, seed=0):
+    """A stage at the default widths, without training: prediction only
+    needs the layers' arrays. The guided stage skips pair model 2."""
+    enc, proj = encoder_spec(), projection_spec()
+    rng = np.random.default_rng(seed)
+
+    def model(width, tag):
+        m = EncoderProjectionModel(width, enc, proj, seed=[seed, tag])
+        _perturb_batch_norms(m.encoder, rng)
+        return m
+
+    pairs = (model(n_features, 1), None, model(n_features, 3), model(n_features, 4))
+    if not guided:
+        pairs = ()
+    embedder = model(4 * enc.out_width if guided else n_features, 5)
+    head = AuxiliaryClassifier(enc.out_width, seed=[seed, 6])
+    _perturb_batch_norms(head.mlp, rng)
+    return Stage(models_1_to_4=pairs, model=embedder, auxiliary=head)
+
+
+def test_row_blocks_cover_the_rows_without_a_one_row_block():
+    assert PREDICT_BLOCK_ROWS == 1024
+    spans = {n: [(b.start, b.stop) for b in _row_blocks(n)]
+             for n in (0, 1, 2, 1024, 1025, 1026, 2049)}
+    assert spans == {
+        0: [],
+        1: [(0, 1)],
+        2: [(0, 2)],
+        1024: [(0, 1024)],
+        1025: [(0, 1025)],
+        1026: [(0, 1024), (1024, 1026)],
+        2049: [(0, 1024), (1024, 2049)],
+    }
+
+
+@pytest.mark.parametrize("guided", [True, False], ids=["guided", "classic"])
+@pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 1026, 3 * 1024 + 1])
+def test_stage_predict_matches_whole_batch_bit_for_bit(guided, n):
+    stage = _untrained_stage(guided)
+    X = np.random.default_rng(n).normal(size=(n, 12))
+    whole = stage.embed(X)
+    want = stage.auxiliary.predict(whole)
+    assert np.array_equal(stage.predict(X), want)
+    # the labels rest on the embeddings: each block carries the batch's bits
+    for rows in _row_blocks(n):
+        assert rows.stop - rows.start >= 2
+        assert np.array_equal(stage.embed(X[rows]), whole[rows])
+    if n > PREDICT_BLOCK_ROWS:
+        assert set(want.tolist()) == {0, 1}  # fixture sanity: labels can differ
+
+
+def test_guided_concatenation_zeroes_only_the_skipped_block():
+    stage = _untrained_stage(guided=True)
+    X = np.random.default_rng(1).normal(size=(5, 12))
+    w = stage.model.input_width // 4
+    emb = concat_embeddings(stage.models_1_to_4, X, w)
+    assert np.all(emb[:, w : 2 * w] == 0.0)
+    for k in (0, 2, 3):
+        assert np.array_equal(emb[:, k * w : (k + 1) * w], stage.models_1_to_4[k].embed(X))
+
+
+def test_stage_predict_memory_does_not_grow_with_rows():
+    stage = _untrained_stage(guided=True)
+
+    def peak(n):
+        X = np.random.default_rng(0).normal(size=(n, 12))
+        tracemalloc.start()
+        try:
+            stage.predict(X)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40_000) <= 2 * peak(4_000)
+
+
+@pytest.mark.parametrize("guided", [True, False], ids=["guided", "classic"])
+def test_stage_predict_gives_a_lone_row_its_batch_bits(guided, monkeypatch):
+    stage = _untrained_stage(guided)
+    X = np.random.default_rng(2).normal(size=(50, 12))
+    whole = stage.embed(X)
+    seen = []
+    head_predict = stage.auxiliary.predict
+    monkeypatch.setattr(stage.auxiliary, "predict", lambda E: seen.append(E) or head_predict(E))
+    for i in (0, 17, 49):
+        label = stage.predict(X[i : i + 1])
+        assert label.shape == (1,)
+        assert np.array_equal(seen[-1][0], whole[i])
+        assert label[0] == stage.auxiliary.predict(whole)[i]
+
+
+def test_pipeline_predict_one_row():
+    data, pipe = _fitted_guided_pipeline(seed=6)
+    labels, routes = pipeline_predict(pipe, data)
+    for route in ("base", "auxiliary"):
+        i = np.flatnonzero(routes == route)[0]
+        one_label, one_route = pipeline_predict(pipe, data.subset(np.array([i])))
+        assert one_route.tolist() == [route]
+        assert one_label.tolist() == [labels[i]]
+
+
+def test_all_easy_batch_does_not_call_the_stage(monkeypatch):
+    data, pipe = _fitted_guided_pipeline(seed=6)
+    pipe.thresholds = ThresholdPair(0.5, 0.5)  # every probability is easy
+
+    def refuse(X):
+        raise AssertionError("the stage was called for an all-easy batch")
+
+    monkeypatch.setattr(pipe.stage, "predict", refuse)
+    labels, routes = pipeline_predict(pipe, data)
+    assert set(routes.tolist()) == {"base"}
+    base_pred = (pipe.base.predict_probabilities(data.values) >= 0.5).astype(np.int64)
+    assert np.array_equal(labels, base_pred)
