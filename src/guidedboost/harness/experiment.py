@@ -142,9 +142,14 @@ def fit_base(kind: str, params: dict, train: FeatureMatrix, val: FeatureMatrix,
 
 @dataclass
 class Prepared:
-    """State after the front half of the protocol (everything before retraining)."""
+    """State after the front half of the protocol (everything before retraining).
 
-    data: FeatureMatrix
+    ``n_samples`` and ``n_raw_features`` give the loaded dataset's size before
+    feature selection; its rows are held only by the three splits.
+    """
+
+    n_samples: int
+    n_raw_features: int
     kept: np.ndarray | None
     train: FeatureMatrix
     val: FeatureMatrix
@@ -166,11 +171,16 @@ def _report_for(adapter, data: FeatureMatrix) -> PredictionReport:
 
 
 def prepare(cfg: ExperimentConfig) -> Prepared:
-    """Load, split, select features, train the base, calibrate, and partition."""
+    """Load, split, select features, train the base, calibrate, and partition.
+
+    The loaded matrix is released once the split has copied its rows.
+    """
     with _stage("load"):
         data = load_data(cfg)
+    n_samples, n_raw_features = data.n_samples, data.n_features
     with _stage("split"):
         train, val, test = split_80_10_10(data, cfg.fractions, cfg.seed)
+    del data
 
     kept = None
     if cfg.feature_top_k:
@@ -225,10 +235,11 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         }
 
     return Prepared(
-        data=data, kept=kept, train=train, val=val, test=test, adapter=adapter,
-        reports=reports, routing=routing, tolerated=tolerated, thresholds=thresholds,
-        assignments=assignments, difficult_train=difficult_train,
-        difficult_val=difficult_val, difficult_test=difficult_test, curves=curves,
+        n_samples=n_samples, n_raw_features=n_raw_features, kept=kept, train=train,
+        val=val, test=test, adapter=adapter, reports=reports, routing=routing,
+        tolerated=tolerated, thresholds=thresholds, assignments=assignments,
+        difficult_train=difficult_train, difficult_val=difficult_val,
+        difficult_test=difficult_test, curves=curves,
     )
 
 
@@ -292,14 +303,16 @@ def run_experiment(
     elif len(np.unique(difficult_train.labels)) < 2:
         skipped = "difficult training set contains a single class"
     else:
+        def difficult_report(split: str) -> PredictionReport:
+            # the base predictions that routed the rows, not a second pass
+            r, hard = prep.reports[split], ~prep.thresholds.easy(prep.routing[split])
+            return PredictionReport(r.ids[hard], r.probabilities[hard], r.predictions[hard])
+
         def fit_guided():
-            train_report = _report_for(prep.adapter, difficult_train)
-            val_report = (
-                _report_for(prep.adapter, difficult_val) if difficult_val.n_samples else None
-            )
+            train_report, val_report = map(difficult_report, ("train", "validation"))
             return guided_fit(
                 difficult_train, train_report, difficult_val, cfg.retrain,
-                val_report=val_report, seed=cfg.seed,
+                val_report=val_report if difficult_val.n_samples else None, seed=cfg.seed,
             )
 
         def fit_classic():
@@ -313,14 +326,14 @@ def run_experiment(
                     base=prep.adapter,
                     thresholds=prep.thresholds,
                     stage=fit(),
-                    n_raw_features=prep.data.n_features,
+                    n_raw_features=prep.n_raw_features,
                     feature_selection=prep.kept,
                     metadata=_metadata(cfg),
                 )
 
     summary: dict = {
-        "n_samples": prep.data.n_samples,
-        "n_features": prep.data.n_features,
+        "n_samples": prep.n_samples,
+        "n_features": prep.n_raw_features,
         "kept_features": None if prep.kept is None else [int(i) for i in prep.kept],
         "split_sizes": {
             "train": prep.train.n_samples, "validation": val.n_samples, "test": test.n_samples,

@@ -33,12 +33,13 @@ class Linear:
         out += self.b
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Store the parameter gradients; return dx, or None when not input_grad."""
         if self._x is None:
             raise RuntimeError("Linear.backward: no training-mode forward cached")
         self.gW = self._x.T @ grad
         self.gb = grad.sum(axis=0)
-        return grad @ self.W.T
+        return grad @ self.W.T if input_grad else None
 
     def parameters(self):
         return [self.W, self.b]

@@ -112,10 +112,12 @@ class MLP:
             out = layer.forward(out, train)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate grad; the first Linear skips dx unless input_grad."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        return first.backward(grad, input_grad)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters()]
@@ -185,10 +187,10 @@ class EncoderProjectionModel:
         proj = self.normalize.forward(self.projection.forward(enc, train), train)
         return enc, proj
 
-    def backward(self, grad_proj: np.ndarray):
+    def backward(self, grad_proj: np.ndarray, input_grad: bool = True):
         g = self.normalize.backward(grad_proj)
         g = self.projection.backward(g)
-        return self.encoder.backward(g)
+        return self.encoder.backward(g, input_grad)
 
     def sgd_step(self, lr: float):
         self.encoder.sgd_step(lr)

@@ -137,7 +137,7 @@ def train_model(
     def step(batch, epoch):
         _, proj = model.forward(data.values[batch], train=True)
         _, grad = supcon_loss(proj, data.labels[batch], cfg.temperature)
-        model.backward(grad)
+        model.backward(grad, input_grad=False)
         model.sgd_step(cfg.learning_rate)
 
     def score(epoch):
@@ -190,7 +190,7 @@ def train_auxiliary(
         loss, grad = bce_loss(out, onehot[batch])
         if not np.isfinite(loss):
             raise FloatingPointError(f"train_auxiliary: batch loss is {loss} at epoch {epoch}")
-        head.mlp.backward(grad)
+        head.mlp.backward(grad, input_grad=False)
         head.mlp.sgd_step(cfg.learning_rate)
 
     def score(epoch):

@@ -7,9 +7,12 @@ auxiliary head. A guided stage embeds through the four confusion-pair Models
 and Model 5 on their concatenated embeddings; a classic stage (the baseline)
 through a single Model.
 
-Prediction runs the stage over fixed blocks of ``PREDICT_BLOCK_ROWS`` rows,
-so the memory it needs is bounded at any input size, and a row's label does
-not depend on the batch it came in.
+Every eval-mode pass of the networks over a set of rows, in training (the
+embeddings that Model 5 and the head train on) and in prediction, runs over
+fixed blocks of ``PREDICT_BLOCK_ROWS`` rows into one preallocated output. So
+the memory it needs beyond that output is bounded at any input size, and the
+bits are those of one whole-batch pass. In prediction a row's label does not
+depend on the batch it came in.
 """
 from __future__ import annotations
 
@@ -44,7 +47,8 @@ MODEL_PAIRS = (("TP", "FP"), ("TN", "FN"), ("TP", "TN"), ("FP", "FN"))
 # heads start from identical weights
 _EMBEDDER_TAG = 5
 _AUX_TAG = 6
-# rows per block of Stage.predict: each layer's temporaries stay this tall
+# rows per block of every eval-mode network pass: each layer's temporaries
+# stay this tall
 PREDICT_BLOCK_ROWS = 1024
 
 
@@ -63,12 +67,25 @@ def concat_embeddings(
     """Fixed-order concatenation of the four embedding blocks.
 
     A skipped model leaves its block of the configured width at zero, so the
-    concatenated layout never changes.
+    concatenated layout never changes. Each model writes its columns of the
+    one output row block by row block (see ``_in_blocks``).
     """
     out = np.zeros((X.shape[0], len(models) * block_width))
     for k, m in enumerate(models):
         if m is not None:
-            out[:, k * block_width : (k + 1) * block_width] = m.embed(X)
+            _in_blocks(m.embed, X, out[:, k * block_width : (k + 1) * block_width])
+    return out
+
+
+def _embed(model: EncoderProjectionModel, X: np.ndarray) -> np.ndarray:
+    """``model.embed(X)``, computed block by block."""
+    return _in_blocks(model.embed, X, np.empty((X.shape[0], model.embedding_width)))
+
+
+def _in_blocks(fn, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[rows] = fn(X[rows])`` over the ``_row_blocks`` of X; returns out."""
+    for rows in _row_blocks(X.shape[0]):
+        out[rows] = fn(X[rows])
     return out
 
 
@@ -126,10 +143,10 @@ class Stage:
         if X.shape[0] == 1:
             # a lone row goes in twice, so it takes the batch path as well
             return self.predict(np.repeat(X, 2, axis=0))[:1]
-        labels = np.empty(X.shape[0], dtype=np.int64)
-        for rows in _row_blocks(X.shape[0]):
-            labels[rows] = self.auxiliary.predict(self.embed(X[rows]))
-        return labels
+        return _in_blocks(
+            lambda block: self.auxiliary.predict(self.embed(block)), X,
+            np.empty(X.shape[0], dtype=np.int64),
+        )
 
 
 @contextmanager
@@ -166,7 +183,7 @@ def _fit_stage(
         )
     with _training(f"{what}: auxiliary head"):
         auxiliary = train_auxiliary(
-            model.embed(train.values), train.labels, model.embed(val.values), val.labels,
+            _embed(model, train.values), train.labels, _embed(model, val.values), val.labels,
             cfg.train, seed=[seed, _AUX_TAG],
         )
     return Stage(models_1_to_4=models_1_to_4, model=model, auxiliary=auxiliary)

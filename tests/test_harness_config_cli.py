@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from guidedboost.harness.config import (
     load_config,
     save_config,
 )
+from guidedboost.harness import experiment
 from guidedboost.harness.experiment import StageError, prepare, run_experiment
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
@@ -105,6 +107,57 @@ def test_forest_counts_below_one_name_the_setting(base, setting, value):
     with pytest.raises(StageError, match=f"{setting} must be at least 1, got {value}") as err:
         prepare(cfg)
     assert err.value.stage == "train-base"
+
+
+def test_prepare_lets_go_of_the_loaded_matrix(monkeypatch):
+    loaded = []
+    load_data = experiment.load_data
+
+    def keep_a_weakref(cfg):
+        data = load_data(cfg)
+        loaded.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(experiment, "load_data", keep_a_weakref)
+    prep = prepare(_small_cfg())
+    assert len(loaded) == 1 and loaded[0]() is None
+    assert (prep.n_samples, prep.n_raw_features) == (200, 3)
+
+
+def test_raw_width_survives_feature_selection(tmp_path):
+    result = run_experiment(_small_cfg(feature_top_k=2, out_dir=str(tmp_path)))
+    assert result.skipped is None
+    for pipe in (result.guided, result.classic):
+        assert pipe.n_raw_features == 3 and len(pipe.feature_selection) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["n_samples"], summary["n_features"]) == (200, 3)
+
+
+def test_guided_pair_tags_come_from_the_routing_reports(monkeypatch):
+    cfg = _small_cfg()
+    prep = prepare(cfg)
+    seen = []
+    guided_fit = experiment.guided_fit
+
+    def record(train, report, val, retrain, val_report=None, seed=None):
+        seen.append((train, report, val, val_report))
+        return guided_fit(train, report, val, retrain, val_report=val_report, seed=seed)
+
+    def refuse(*args):
+        raise AssertionError("the base scored the difficult rows a second time")
+
+    monkeypatch.setattr(experiment, "guided_fit", record)
+    monkeypatch.setattr(experiment, "_report_for", refuse)
+    monkeypatch.setattr(experiment, "prepare", lambda cfg: prep)
+    run_experiment(cfg, variants=("guided",))
+    (train, report, val, val_report), = seen
+    assert train.n_samples and val.n_samples  # fixture sanity: both splits reach the fit
+    for split, data, got in (("train", train, report), ("validation", val, val_report)):
+        hard = ~prep.thresholds.easy(prep.routing[split])
+        want = prep.reports[split]
+        assert np.array_equal(got.ids, data.ids)
+        assert np.array_equal(got.probabilities, want.probabilities[hard])
+        assert np.array_equal(got.predictions, want.predictions[hard])
 
 
 # ------------------------------------------------------------ CLI

@@ -39,6 +39,18 @@ def test_linear_gradients():
     assert relative_error(layer.gb, numeric_gradient(lambda: loss_through(layer, x, R), layer.b)) < TOL
 
 
+def test_linear_backward_can_skip_the_input_gradient():
+    rng = np.random.default_rng(3)
+    layer = Linear(4, 3, rng)
+    x, R = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+    layer.forward(x, True)
+    gx = layer.backward(R)
+    gW, gb = layer.gW, layer.gb
+    assert layer.backward(R, input_grad=False) is None
+    assert np.array_equal(layer.gW, gW) and np.array_equal(layer.gb, gb)
+    assert np.array_equal(gx, R @ layer.W.T)
+
+
 def test_linear_backward_requires_training_forward():
     layer = Linear(2, 2, np.random.default_rng(0))
     layer.forward(np.zeros((2, 2)), False)

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_blobs
 
 from guidedboost.data import FeatureMatrix
+from guidedboost.nn.layers import Linear
 from guidedboost.nn.losses import supcon_loss
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import (
@@ -236,3 +237,30 @@ def test_train_auxiliary_determinism():
     h1 = train_auxiliary(X, y, Xv, yv, cfg, seed=9)
     h2 = train_auxiliary(X, y, Xv, yv, cfg, seed=9)
     assert np.array_equal(h1.predict_scores(Xv), h2.predict_scores(Xv))
+
+
+def test_skipping_the_first_input_gradient_keeps_the_trained_bits(monkeypatch):
+    data = make_blobs(n_per_class=15, n_features=4, seed=0)
+    order = np.random.default_rng(0).permutation(data.n_samples)
+    train, val = _split(data.subset(order), 6)
+    X, y = _embedding_problem(4)
+    Xv, yv = _embedding_problem(5, n=10)
+
+    def fit():
+        model = train_model(train, val, fast_cfg(), **TINY, seed=11)
+        head = train_auxiliary(X, y, Xv, yv, fast_cfg(max_epochs=10, learning_rate=0.05), seed=9)
+        return model.state_arrays() + head.state_arrays()
+
+    skipped = fit()
+    backward = Linear.backward
+    asked = []
+
+    def always_dx(self, grad, input_grad=True):
+        asked.append(input_grad)
+        return backward(self, grad)
+
+    monkeypatch.setattr(Linear, "backward", always_dx)
+    computed = fit()
+    assert False in asked  # the trainers do opt out
+    assert len(skipped) == len(computed)
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, computed))

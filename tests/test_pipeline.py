@@ -21,6 +21,7 @@ from guidedboost.nn.network import (
     encoder_spec,
     projection_spec,
 )
+from guidedboost import pipeline
 from guidedboost.nn.training import TrainConfig
 from guidedboost.pipeline import (
     MODEL_PAIRS,
@@ -359,3 +360,99 @@ def test_all_easy_batch_does_not_call_the_stage(monkeypatch):
     assert set(routes.tolist()) == {"base"}
     base_pred = (pipe.base.predict_probabilities(data.values) >= 0.5).astype(np.int64)
     assert np.array_equal(labels, base_pred)
+
+
+# ------------------------------------------------ block-wise training embeddings
+
+def _rows(n, seed):
+    """n rows of 12 features, both classes present from n = 2."""
+    X = np.random.default_rng(seed).normal(size=(n, 12))
+    return FeatureMatrix.from_arrays(X, np.arange(n) % 2)
+
+
+def _fake_training(monkeypatch, stage, on_call=lambda tag, outputs: None):
+    """Make the trainers hand back the stage's networks, recording what the
+    fits feed them. on_call(tag, arrays) runs at each trainer call."""
+    seen = {}
+    pairs = dict(enumerate(stage.models_1_to_4, start=1))
+
+    def train_model(data, val, cfg, enc, proj, seed):
+        tag = seed[1]
+        seen[tag] = (data.values, val.values)
+        on_call(tag, seen[tag])
+        return stage.model if tag == 5 else pairs[tag]
+
+    def train_auxiliary(emb, labels, val_emb, val_labels, cfg, seed):
+        seen["auxiliary"] = (emb, val_emb)
+        on_call("auxiliary", seen["auxiliary"])
+        return stage.auxiliary
+
+    monkeypatch.setattr(pipeline, "train_model", train_model)
+    monkeypatch.setattr(pipeline, "train_auxiliary", train_auxiliary)
+    return seen
+
+
+def _fit(guided, train, val):
+    if guided:
+        probs = np.random.default_rng(2).uniform(0.01, 0.99, train.n_samples)
+        report = prediction_report(probs, train.labels, train.ids)
+        return guided_fit(train, report, val, RetrainConfig(), seed=0)
+    return classic_fit(train, val, RetrainConfig(), seed=0)
+
+
+@pytest.mark.parametrize("guided", [True, False], ids=["guided", "classic"])
+@pytest.mark.parametrize(
+    "n, n_val", [(2, 2), (1023, 1023), (1024, 1024), (1025, 1025), (3073, 3073), (40, 1)]
+)
+def test_training_embeddings_match_whole_batch_bit_for_bit(guided, n, n_val, monkeypatch):
+    stage = _untrained_stage(guided)
+    train, val = _rows(n, 0), _rows(n_val, 1)
+    seen = _fake_training(monkeypatch, stage)
+    fitted = _fit(guided, train, val)
+    inputs = (train.values, val.values)
+    if guided:
+        w = stage.model.input_width // 4
+
+        def whole(X):  # the concatenation as one whole-batch pass per model
+            out = np.zeros((X.shape[0], 4 * w))
+            for k, m in enumerate(fitted.models_1_to_4):
+                if m is not None:
+                    out[:, k * w : (k + 1) * w] = m.embed(X)
+            return out
+
+        inputs = tuple(whole(X) for X in inputs)
+        assert all(np.array_equal(a, b) for a, b in zip(seen[5], inputs))
+    # a lone validation row is embedded alone, as before: no doubling
+    assert all(
+        np.array_equal(emb, stage.model.embed(X)) for emb, X in zip(seen["auxiliary"], inputs)
+    )
+
+
+def test_training_memory_does_not_grow_with_rows(monkeypatch):
+    """Peak traced memory of the guided concatenation, and of the head's
+    training embeddings, beyond the arrays they return."""
+    stage = _untrained_stage(guided=True)
+    excess = {}
+
+    def on_call(tag, outputs):
+        # each window opens at one trainer call and closes at the next
+        if tag in (5, "auxiliary"):
+            peak = tracemalloc.get_traced_memory()[1]
+            excess[tag] = peak - excess["start"] - sum(a.nbytes for a in outputs)
+        tracemalloc.reset_peak()
+        excess["start"] = tracemalloc.get_traced_memory()[0]
+
+    _fake_training(monkeypatch, stage, on_call)
+
+    def measure(n):
+        train, val = _rows(n, 0), _rows(0, 1)
+        tracemalloc.start()
+        try:
+            _fit(True, train, val)
+        finally:
+            tracemalloc.stop()
+        return excess[5], excess["auxiliary"]
+
+    small, large = measure(4_000), measure(40_000)
+    assert large[0] <= 2 * small[0]  # concatenation
+    assert large[1] <= 2 * small[1]  # head's training embeddings
