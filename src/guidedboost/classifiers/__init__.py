@@ -1,8 +1,7 @@
 """Base classifiers and the probability adapters that make them routable."""
 from .adapters import (
-    ForestAdapter,
+    IdentityAdapter,
     KnnAdapter,
-    LogisticAdapter,
     ScoreRange,
     SvmAdapter,
     decision_to_probability,
@@ -13,13 +12,12 @@ from .knn import NearestNeighborModel
 from .linear import LinearConfig, LinearModel, SvmConfig, train_linear_svm, train_logistic
 
 __all__ = [
-    "ForestAdapter",
     "ForestConfig",
     "ForestModel",
+    "IdentityAdapter",
     "KnnAdapter",
     "LinearConfig",
     "LinearModel",
-    "LogisticAdapter",
     "NearestNeighborModel",
     "ScoreRange",
     "SvmAdapter",

@@ -2,7 +2,8 @@
 
 Three situations arise:
 
-* probability-native bases (logistic, forest) pass their probabilities through;
+* probability-native bases (logistic, forest) pass their probabilities
+  through one identity adapter;
 * margin bases (linear SVM) map decision scores through a piecewise min-max
   transform anchored at zero;
 * degenerate-probability bases (1-NN) get a companion error-proxy forest whose
@@ -101,29 +102,14 @@ def train_error_proxy(
     return train_random_forest(proxy, cfg)
 
 
-class LogisticAdapter:
-    """Identity adapter for a probability-native logistic base."""
+class IdentityAdapter:
+    """Passes a probability-native base's probabilities through (logistic or forest)."""
 
     fixed_thresholds: ThresholdPair | None = None
 
-    def __init__(self, model: LinearModel):
-        if model.kind != "logistic":
-            raise ValueError("LogisticAdapter expects a logistic model")
-        self.model = model
-
-    def predict_probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(X)
-
-    def routing_probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(X)
-
-
-class ForestAdapter:
-    """Identity adapter for a probability-native forest base."""
-
-    fixed_thresholds: ThresholdPair | None = None
-
-    def __init__(self, model: ForestModel):
+    def __init__(self, model: LinearModel | ForestModel):
+        if isinstance(model, LinearModel) and model.kind != "logistic":
+            raise ValueError("IdentityAdapter expects a logistic or forest model, not an svm")
         self.model = model
 
     def predict_probabilities(self, X: np.ndarray) -> np.ndarray:

@@ -4,6 +4,16 @@ Used both as a probability-native base classifier and as the error proxy that
 flags which samples a nearest-neighbour base is likely to get wrong. Trees
 split on Gini impurity with midpoint thresholds between consecutive distinct
 feature values; every feature is considered at every node.
+
+A fitted forest is six flat arrays, the layout the pipeline archive stores
+as is. Every tree's nodes sit in preorder, one tree after another, and
+``roots`` holds each tree's root index. Node i is a leaf iff
+``left[i] == -1``; a leaf has ``feature -1``, ``threshold 0.0``, children
+``-1`` and ``p1`` its positive-class fraction. A split node sends a row left
+iff ``x[feature] <= threshold``, holds the absolute indices of its children
+(the left child is always ``i + 1``) and has ``p1 0.0``. ``feature``,
+``left``, ``right`` and ``roots`` are int64, ``threshold`` and ``p1``
+float64.
 """
 from __future__ import annotations
 
@@ -26,21 +36,6 @@ class ForestConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"ForestConfig: {name} must be at least 1, got {value}")
-
-
-@dataclass(frozen=True)
-class _Node:
-    """One tree node; leaves carry the positive-class fraction."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    p1: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _gini(n: int, pos: int | float) -> float:
@@ -90,30 +85,34 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
 
 
 def _grow(xs: np.ndarray, ys: np.ndarray, orders: np.ndarray, y: np.ndarray,
-          depth: int, cfg: ForestConfig) -> _Node:
-    """Grow the subtree of one node's samples.
+          depth: int, cfg: ForestConfig, nodes: list[list]) -> None:
+    """Append the subtree of one node's samples to ``nodes`` in preorder.
 
-    ``y`` holds the labels by sample, ``xs``/``ys`` the values and labels per
-    feature in stable sorted order, and ``orders[j]`` the sample at each
-    position of that order.
+    Each node is a row ``[feature, threshold, left, right, p1]``. ``y`` holds
+    the labels by sample, ``xs``/``ys`` the values and labels per feature in
+    stable sorted order, and ``orders[j]`` the sample at each position of that
+    order.
     """
     n = len(y)
     pos = int(y.sum())
     node_gini = _gini(n, pos)
+    leaf = [-1, 0.0, -1, -1, pos / n]
     if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or node_gini == 0.0:
-        return _Node(p1=pos / n)
+        nodes.append(leaf)
+        return
     found = _best_split(xs, ys, cfg.min_leaf)
     if found is None or found[2] >= node_gini:
-        return _Node(p1=pos / n)
+        nodes.append(leaf)
+        return
     j, t, _ = found
+    node = [j, t, -1, -1, 0.0]
+    nodes.append(node)
     go_left = np.zeros(n, dtype=bool)
     go_left[orders[j, : np.searchsorted(xs[j], t, side="right")]] = True
-    return _Node(
-        feature=j,
-        threshold=t,
-        left=_grow(*_child(xs, ys, orders, y, go_left), depth + 1, cfg),
-        right=_grow(*_child(xs, ys, orders, y, ~go_left), depth + 1, cfg),
-    )
+    node[2] = len(nodes)
+    _grow(*_child(xs, ys, orders, y, go_left), depth + 1, cfg, nodes)
+    node[3] = len(nodes)
+    _grow(*_child(xs, ys, orders, y, ~go_left), depth + 1, cfg, nodes)
 
 
 def _child(xs: np.ndarray, ys: np.ndarray, orders: np.ndarray, y: np.ndarray,
@@ -133,87 +132,39 @@ def _child(xs: np.ndarray, ys: np.ndarray, orders: np.ndarray, y: np.ndarray,
             y.compress(keep))
 
 
-def _tree_proba(node: _Node, X: np.ndarray, out: np.ndarray, rows: np.ndarray):
-    if node.is_leaf:
-        out[rows] = node.p1
-        return
-    go_left = X[rows, node.feature] <= node.threshold
-    _tree_proba(node.left, X, out, rows[go_left])
-    _tree_proba(node.right, X, out, rows[~go_left])
-
-
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[_Node, ...]
+    """The fitted trees as flat preorder arrays (see the module docstring)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    p1: np.ndarray
+    roots: np.ndarray
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probability: mean of per-tree leaf fractions."""
         X = np.asarray(X, dtype=np.float64)
         acc = np.zeros(X.shape[0])
         scratch = np.empty(X.shape[0])
-        rows = np.arange(X.shape[0])
-        for tree in self.trees:
-            _tree_proba(tree, X, scratch, rows)
+        for root in self.roots:
+            # each pending node with the rows that reach it; the subsets are
+            # disjoint, so the order leaves are filled in does not matter
+            pending = [(root, np.arange(X.shape[0]))]
+            while pending:
+                i, rows = pending.pop()
+                if self.left[i] < 0:
+                    scratch[rows] = self.p1[i]
+                    continue
+                go_left = X[rows, self.feature[i]] <= self.threshold[i]
+                pending.append((self.right[i], rows[~go_left]))
+                pending.append((self.left[i], rows[go_left]))
             acc += scratch
-        return acc / len(self.trees)
+        return acc / len(self.roots)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
-
-
-def forest_to_arrays(model: ForestModel) -> dict[str, np.ndarray]:
-    """Flatten all trees into parallel arrays for persistence.
-
-    Children are absolute node indices, -1 marks a leaf; roots lists each
-    tree's root index in preorder layout.
-    """
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    p1: list[float] = []
-    roots: list[int] = []
-
-    def add(node: _Node) -> int:
-        idx = len(feature)
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        p1.append(node.p1)
-        left.append(-1)
-        right.append(-1)
-        if not node.is_leaf:
-            left[idx] = add(node.left)
-            right[idx] = add(node.right)
-        return idx
-
-    for tree in model.trees:
-        roots.append(add(tree))
-    return {
-        "feature": np.asarray(feature, dtype=np.int64),
-        "threshold": np.asarray(threshold, dtype=np.float64),
-        "left": np.asarray(left, dtype=np.int64),
-        "right": np.asarray(right, dtype=np.int64),
-        "p1": np.asarray(p1, dtype=np.float64),
-        "roots": np.asarray(roots, dtype=np.int64),
-    }
-
-
-def forest_from_arrays(arrays: dict[str, np.ndarray]) -> ForestModel:
-    """Rebuild a ForestModel from forest_to_arrays output."""
-    left = np.asarray(arrays["left"], dtype=np.int64)
-    right = np.asarray(arrays["right"], dtype=np.int64)
-
-    def build(i: int) -> _Node:
-        if left[i] < 0:
-            return _Node(p1=float(arrays["p1"][i]))
-        return _Node(
-            feature=int(arrays["feature"][i]),
-            threshold=float(arrays["threshold"][i]),
-            left=build(int(left[i])),
-            right=build(int(right[i])),
-        )
-
-    return ForestModel(trees=tuple(build(int(r)) for r in arrays["roots"]))
 
 
 def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) -> ForestModel:
@@ -231,7 +182,8 @@ def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) ->
     ranks = np.empty((data.n_features, n), dtype=np.int64)
     for j, column in enumerate(X.T):
         ranks[j] = np.unique(column, return_inverse=True)[1]
-    trees = []
+    nodes: list[list] = []
+    roots = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng([cfg.seed, t])
         rows = rng.integers(0, n, size=n)
@@ -242,5 +194,14 @@ def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) ->
         orders = keys % n
         picked = rows[orders]
         xs = np.take_along_axis(X.T, picked, 1)
-        trees.append(_grow(xs, y[picked], orders, y[rows], 0, cfg))
-    return ForestModel(trees=tuple(trees))
+        roots.append(len(nodes))
+        _grow(xs, y[picked], orders, y[rows], 0, cfg, nodes)
+    feature, threshold, left, right, p1 = zip(*nodes)
+    return ForestModel(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        p1=np.array(p1, dtype=np.float64),
+        roots=np.array(roots, dtype=np.int64),
+    )

@@ -55,7 +55,9 @@ class FeatureMatrix:
         s = np.sort(ids)
         if (s[1:] == s[:-1]).any():
             raise ValueError("ids must be unique")
-        if not np.isfinite(values).all():
+        # min and max need no n-by-w temporary; a NaN carries through both,
+        # and an infinity is one of them
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..classifiers.adapters import ForestAdapter, KnnAdapter, LogisticAdapter, SvmAdapter
+from ..classifiers.adapters import IdentityAdapter, KnnAdapter, SvmAdapter
 from ..classifiers.forest import ForestConfig, train_random_forest
 from ..classifiers.knn import NearestNeighborModel
 from ..classifiers.linear import LinearConfig, SvmConfig, train_linear_svm, train_logistic
@@ -129,12 +129,12 @@ def fit_base(kind: str, params: dict, train: FeatureMatrix, val: FeatureMatrix,
     if kind in ("forest", "knn"):
         params = {"seed": seed, **params}
     if kind == "logistic":
-        return LogisticAdapter(train_logistic(train, LinearConfig(**params)))
+        return IdentityAdapter(train_logistic(train, LinearConfig(**params)))
     if kind == "svm":
         model = train_linear_svm(train, SvmConfig(**params))
         return SvmAdapter.fit(model, train, val, test)
     if kind == "forest":
-        return ForestAdapter(train_random_forest(train, ForestConfig(**params)))
+        return IdentityAdapter(train_random_forest(train, ForestConfig(**params)))
     if kind == "knn":
         return KnnAdapter.fit(NearestNeighborModel.fit(train), train, ForestConfig(**params))
     raise ValueError(f"unknown base classifier kind {kind!r}")

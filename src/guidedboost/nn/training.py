@@ -3,7 +3,8 @@
 Both trainers run the same early-stopping loop: mini-batch gradient descent,
 batch size n // batch_divisor (floored, never below 2), a stop once the
 validation metric stops improving for `patience` consecutive epochs, and a
-best-snapshot restore at the end. All shuffling derives from the config seed.
+best-snapshot restore at the end. All shuffling derives from the seed each
+trainer is given.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ class TrainConfig:
     batch_divisor: int = 10
     learning_rate: float = 0.001
     temperature: float = 0.07
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.max_epochs, self.patience, self.batch_divisor) < 1:
@@ -112,7 +112,8 @@ def train_model(
     cfg: TrainConfig,
     enc_spec: MlpSpec | None = None,
     proj_spec: MlpSpec | None = None,
-    seed=None,
+    *,
+    seed,
 ) -> EncoderProjectionModel:
     """Fit an encoder+projection Model with the supervised contrastive loss.
 
@@ -128,7 +129,6 @@ def train_model(
         raise ValueError("train_model: training data is empty")
     if len(np.unique(data.labels)) < 2:
         raise ValueError("train_model: training data contains a single class")
-    seed = cfg.seed if seed is None else seed
     model = EncoderProjectionModel(
         data.n_features, enc_spec or encoder_spec(), proj_spec or projection_spec(), seed
     )
@@ -160,7 +160,7 @@ def train_auxiliary(
     val_embeddings: np.ndarray,
     val_labels: np.ndarray,
     cfg: TrainConfig,
-    seed=None,
+    seed,
 ) -> AuxiliaryClassifier:
     """Fit the two-output sigmoid head on embeddings.
 
@@ -181,7 +181,6 @@ def train_auxiliary(
     yv = np.asarray(val_labels, dtype=np.int64)
     if Xv.size == 0:
         Xv, yv = X, y
-    seed = cfg.seed if seed is None else seed
     head = AuxiliaryClassifier(X.shape[1], seed)
     onehot = np.eye(2)[y]
 

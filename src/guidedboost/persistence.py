@@ -5,7 +5,9 @@ thresholds, feature indices) and an ``arrays`` table mapping logical names to
 raw little-endian blobs under ``arrays/``. The manifest's ``kind`` is
 "guided" (pair models under ``models_1_to_4``, Model 5 under ``model_5``) or
 "classic" (the single Model under ``model``), read off the stage's pair
-models. Parameters are ``<f8``, integer
+models. A forest (a forest base, or a 1-NN base's error proxy) is stored as
+its six arrays, as ``classifiers.forest`` lays them out; the base's ``type``
+is read off its model. Parameters are ``<f8``, integer
 tables ``<i8``. Members are stored uncompressed: float64 weights barely
 deflate, and compressing them cost most of a save. Archives written with
 deflated members, as earlier releases did, still load. Loading validates the
@@ -16,17 +18,12 @@ from __future__ import annotations
 
 import json
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 
-from .classifiers.adapters import (
-    ForestAdapter,
-    KnnAdapter,
-    LogisticAdapter,
-    ScoreRange,
-    SvmAdapter,
-)
-from .classifiers.forest import ForestModel, forest_from_arrays, forest_to_arrays
+from .classifiers.adapters import IdentityAdapter, KnnAdapter, ScoreRange, SvmAdapter
+from .classifiers.forest import ForestModel
 from .classifiers.knn import NearestNeighborModel
 from .classifiers.linear import LinearModel
 from .data import ThresholdPair
@@ -125,18 +122,20 @@ def _load_auxiliary(meta: dict, arrays: dict[str, np.ndarray]) -> AuxiliaryClass
 
 
 def _store_forest(store: _ArrayStore, prefix: str, forest: ForestModel):
-    for name, arr in forest_to_arrays(forest).items():
-        dtype = _FLOAT if arr.dtype.kind == "f" else _INT
-        store.add(f"{prefix}_{name}", arr, dtype)
+    for f in fields(ForestModel):
+        arr = getattr(forest, f.name)
+        store.add(f"{prefix}_{f.name}", arr, _FLOAT if arr.dtype.kind == "f" else _INT)
 
 
 def _load_forest(arrays: dict[str, np.ndarray], prefix: str) -> ForestModel:
-    keys = ("feature", "threshold", "left", "right", "p1", "roots")
-    return forest_from_arrays({k: arrays[f"{prefix}_{k}"] for k in keys})
+    return ForestModel(**{f.name: arrays[f"{prefix}_{f.name}"] for f in fields(ForestModel)})
 
 
 def _store_base(store: _ArrayStore, base) -> dict:
-    if isinstance(base, LogisticAdapter):
+    if isinstance(base, IdentityAdapter) and isinstance(base.model, ForestModel):
+        _store_forest(store, "base_forest", base.model)
+        return {"type": "forest"}
+    if isinstance(base, IdentityAdapter):
         store.add("base_weights", base.model.weights)
         return {"type": "logistic", "bias": base.model.bias}
     if isinstance(base, SvmAdapter):
@@ -147,9 +146,6 @@ def _store_base(store: _ArrayStore, base) -> dict:
             "bias": base.model.bias,
             "score_range": {"f_min": r.f_min, "f_max": r.f_max, "p_min": r.p_min, "p_max": r.p_max},
         }
-    if isinstance(base, ForestAdapter):
-        _store_forest(store, "base_forest", base.model)
-        return {"type": "forest"}
     if isinstance(base, KnnAdapter):
         store.add("knn_values", base.model.values)
         store.add("knn_labels", base.model.labels, _INT)
@@ -162,7 +158,7 @@ def _store_base(store: _ArrayStore, base) -> dict:
 def _load_base(meta: dict, arrays: dict[str, np.ndarray]):
     kind = meta["type"]
     if kind == "logistic":
-        return LogisticAdapter(
+        return IdentityAdapter(
             LinearModel(weights=arrays["base_weights"], bias=float(meta["bias"]), kind="logistic")
         )
     if kind == "svm":
@@ -177,7 +173,7 @@ def _load_base(meta: dict, arrays: dict[str, np.ndarray]):
             ),
         )
     if kind == "forest":
-        return ForestAdapter(_load_forest(arrays, "base_forest"))
+        return IdentityAdapter(_load_forest(arrays, "base_forest"))
     if kind == "knn":
         model = NearestNeighborModel(
             values=arrays["knn_values"],

@@ -195,7 +195,8 @@ def guided_fit(
     difficult_val: FeatureMatrix,
     cfg: RetrainConfig,
     val_report: PredictionReport | None = None,
-    seed: int | None = None,
+    *,
+    seed: int,
 ) -> Stage:
     """Train the guided stage on the difficult training subset.
 
@@ -212,13 +213,12 @@ def guided_fit(
         cfg: architecture + training regime.
         val_report: base predictions on difficult_val; when given, each pair
             model early-stops on its own confusion-pair validation subset.
-        seed: master seed; defaults to cfg.train.seed.
+        seed: master seed.
     """
     _check_difficult(difficult_train, difficult_val, "guided_fit")
     check_report_alignment(base_report, difficult_train, "guided_fit")
     if val_report is not None:
         check_report_alignment(val_report, difficult_val, "guided_fit (validation)")
-    seed = cfg.train.seed if seed is None else seed
 
     tags = confusion_partition(base_report, difficult_train.labels)
     val_tags = (
@@ -264,11 +264,10 @@ def classic_fit(
     difficult_train: FeatureMatrix,
     difficult_val: FeatureMatrix,
     cfg: RetrainConfig,
-    seed: int | None = None,
+    seed: int,
 ) -> Stage:
     """Train the baseline: one Model on all difficult samples, then the head."""
     _check_difficult(difficult_train, difficult_val, "classic_fit")
-    seed = cfg.train.seed if seed is None else seed
     return _fit_stage(
         (), difficult_train, difficult_val, cfg, seed, "classic_fit", "classic model"
     )

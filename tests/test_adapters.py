@@ -4,9 +4,8 @@ import pytest
 from conftest import make_blobs
 
 from guidedboost.classifiers.adapters import (
-    ForestAdapter,
+    IdentityAdapter,
     KnnAdapter,
-    LogisticAdapter,
     ScoreRange,
     SvmAdapter,
     decision_to_probability,
@@ -129,7 +128,7 @@ def test_error_proxy_requires_report_coverage():
 def test_logistic_adapter_is_identity():
     data = make_blobs(seed=0)
     model = train_logistic(data)
-    adapter = LogisticAdapter(model)
+    adapter = IdentityAdapter(model)
     assert adapter.fixed_thresholds is None
     assert np.array_equal(
         adapter.predict_probabilities(data.values), model.predict_proba(data.values)
@@ -138,13 +137,13 @@ def test_logistic_adapter_is_identity():
         adapter.routing_probabilities(data.values), adapter.predict_probabilities(data.values)
     )
     with pytest.raises(ValueError):
-        LogisticAdapter(train_linear_svm(data))
+        IdentityAdapter(train_linear_svm(data))
 
 
 def test_forest_adapter_is_identity():
     data = make_blobs(seed=1)
     model = train_random_forest(data, ForestConfig(n_trees=5, seed=2))
-    adapter = ForestAdapter(model)
+    adapter = IdentityAdapter(model)
     assert adapter.fixed_thresholds is None
     assert np.array_equal(
         adapter.predict_probabilities(data.values), model.predict_proba(data.values)

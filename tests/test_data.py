@@ -1,4 +1,6 @@
 """Core container invariants: matrices, reports, thresholds, partitions."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,10 +27,16 @@ def test_feature_matrix_basic():
 
 
 def test_feature_matrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        FeatureMatrix.from_arrays([[np.nan, 0.0]], [0])
-    with pytest.raises(ValueError):
-        FeatureMatrix.from_arrays([[1.0, np.inf]], [1])
+    for bad in (np.nan, np.inf, -np.inf):
+        for cell in ((0, 0), (1, 1), (2, 2)):  # first, middle and last cell
+            values = np.arange(9.0).reshape(3, 3)
+            values[cell] = bad
+            with pytest.raises(ValueError, match="finite"):
+                FeatureMatrix.from_arrays(values, [0, 1, 0])
+    assert FeatureMatrix.from_arrays(np.zeros((0, 3)), []).n_samples == 0
+    assert FeatureMatrix.from_arrays(np.zeros((2, 0)), [0, 1]).n_features == 0
+    huge = FeatureMatrix.from_arrays(np.full((2, 3), 1e308), [0, 1])
+    assert (huge.values == 1e308).all()
     with pytest.raises(ValueError):
         FeatureMatrix.from_arrays([[1.0]], [2])
     with pytest.raises(ValueError):
@@ -39,6 +47,23 @@ def test_feature_matrix_rejects_bad_input():
             labels=np.array([0, 1], dtype=np.int64),
             ids=np.array([5, 5], dtype=np.int64),  # duplicate ids
         )
+
+
+@pytest.mark.parametrize("n", [4000, 40000])
+def test_feature_matrix_checks_values_without_a_full_size_temporary(n):
+    def peak(width):
+        values = np.ones((n, width))
+        labels, ids = np.zeros(n, dtype=np.int64), np.arange(n)
+        tracemalloc.start()
+        try:
+            FeatureMatrix(values=values, labels=labels, ids=ids)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # labels and ids cost the same at any width; the values check adds a
+    # constant, where one bool per cell would add n * 127 bytes
+    assert peak(128) - peak(1) < 16_384
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,7 @@ import numpy as np
 import pytest
 from conftest import make_blobs
 
-from guidedboost.classifiers.forest import (
-    ForestConfig,
-    ForestModel,
-    _Node,
-    forest_from_arrays,
-    forest_to_arrays,
-    train_random_forest,
-)
+from guidedboost.classifiers.forest import ForestConfig, train_random_forest
 from guidedboost.data import FeatureMatrix
 
 
@@ -79,8 +72,7 @@ def test_root_split_matches_exhaustive_oracle():
         data = FeatureMatrix.from_arrays(X, y)
         cfg = ForestConfig(n_trees=1, max_depth=1, min_leaf=2, seed=seed)
         model = train_random_forest(data, cfg)
-        arrays = forest_to_arrays(model)
-        root = int(arrays["roots"][0])
+        root = int(model.roots[0])
 
         rows = bootstrap_rows(seed, 0, n)
         Xb, yb = X[rows], y[rows]
@@ -88,26 +80,25 @@ def test_root_split_matches_exhaustive_oracle():
         p = float(yb.mean())
         node_gini = 2.0 * p * (1.0 - p)
         if found is None or score >= node_gini:
-            assert arrays["left"][root] == -1  # no improving split: root is a leaf
+            assert model.left[root] == -1  # no improving split: root is a leaf
         else:
-            assert arrays["feature"][root] == found[0]
-            assert arrays["threshold"][root] == pytest.approx(found[1])
+            assert model.feature[root] == found[0]
+            assert model.threshold[root] == pytest.approx(found[1])
 
 
 def test_probability_is_mean_of_tree_leaves():
     data = make_blobs(n_per_class=30, n_features=2, gap=2.0, seed=9)
     model = train_random_forest(data, ForestConfig(n_trees=7, max_depth=4, seed=1))
-    arrays = forest_to_arrays(model)
 
     def walk(i, x):
-        while arrays["left"][i] >= 0:
-            j = int(arrays["feature"][i])
-            i = int(arrays["left"][i] if x[j] <= arrays["threshold"][i] else arrays["right"][i])
-        return float(arrays["p1"][i])
+        while model.left[i] >= 0:
+            j = int(model.feature[i])
+            i = int(model.left[i] if x[j] <= model.threshold[i] else model.right[i])
+        return float(model.p1[i])
 
     probs = model.predict_proba(data.values)
     manual = np.array([
-        np.mean([walk(int(r), x) for r in arrays["roots"]]) for x in data.values
+        np.mean([walk(int(r), x) for r in model.roots]) for x in data.values
     ])
     assert np.allclose(probs, manual)
     assert probs.min() >= 0.0 and probs.max() <= 1.0
@@ -116,14 +107,13 @@ def test_probability_is_mean_of_tree_leaves():
 def test_max_depth_respected():
     data = make_blobs(n_per_class=40, n_features=3, gap=0.5, scale=2.0, seed=13)
     model = train_random_forest(data, ForestConfig(n_trees=5, max_depth=2, seed=2))
-    arrays = forest_to_arrays(model)
 
     def depth(i):
-        if arrays["left"][i] < 0:
+        if model.left[i] < 0:
             return 0
-        return 1 + max(depth(int(arrays["left"][i])), depth(int(arrays["right"][i])))
+        return 1 + max(depth(int(model.left[i])), depth(int(model.right[i])))
 
-    assert max(depth(int(r)) for r in arrays["roots"]) <= 2
+    assert max(depth(int(r)) for r in model.roots) <= 2
 
 
 def test_forest_determinism_and_seed_sensitivity():
@@ -133,15 +123,6 @@ def test_forest_determinism_and_seed_sensitivity():
     c = train_random_forest(data, ForestConfig(n_trees=5, seed=4))
     assert np.array_equal(a.predict_proba(data.values), b.predict_proba(data.values))
     assert not np.array_equal(a.predict_proba(data.values), c.predict_proba(data.values))
-
-
-def test_forest_array_round_trip():
-    data = make_blobs(n_per_class=20, gap=2.0, seed=8)
-    model = train_random_forest(data, ForestConfig(n_trees=4, max_depth=3, seed=5))
-    rebuilt = forest_from_arrays(forest_to_arrays(model))
-    assert np.array_equal(
-        model.predict_proba(data.values), rebuilt.predict_proba(data.values)
-    )
 
 
 def test_forest_validation():
@@ -184,24 +165,28 @@ def _reference_best_split(X, y, min_leaf):
     return None if best is None else (*best, best_score)
 
 
-def _reference_grow(X, y, depth, cfg):
+def _reference_grow(X, y, depth, cfg, nodes):
+    """Append one node's subtree to ``nodes`` in preorder, each node a row
+    (feature, threshold, left, right, p1)."""
     n = len(y)
     pos = int(y.sum())
     p = pos / n
     node_gini = 2.0 * p * (1.0 - p)
     if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or node_gini == 0.0:
-        return _Node(p1=pos / n)
+        nodes.append((-1, 0.0, -1, -1, pos / n))
+        return
     found = _reference_best_split(X, y, cfg.min_leaf)
     if found is None or found[2] >= node_gini:
-        return _Node(p1=pos / n)
+        nodes.append((-1, 0.0, -1, -1, pos / n))
+        return
     j, t, _ = found
     go_left = X[:, j] <= t
-    return _Node(
-        feature=j,
-        threshold=t,
-        left=_reference_grow(X[go_left], y[go_left], depth + 1, cfg),
-        right=_reference_grow(X[~go_left], y[~go_left], depth + 1, cfg),
-    )
+    here = len(nodes)
+    nodes.append(None)  # filled in once the right child's index is known
+    _reference_grow(X[go_left], y[go_left], depth + 1, cfg, nodes)
+    right = len(nodes)
+    _reference_grow(X[~go_left], y[~go_left], depth + 1, cfg, nodes)
+    nodes[here] = (j, t, here + 1, right, 0.0)
 
 
 def _tied_data(rng, n, d, levels):
@@ -227,12 +212,15 @@ def test_forest_matches_per_node_argsort_reference(n, d, levels, min_leaf, max_d
     rng = np.random.default_rng(n * 31 + d)
     data = _tied_data(rng, n, d, levels)
     cfg = ForestConfig(n_trees=4, max_depth=max_depth, min_leaf=min_leaf, seed=n)
-    trees = []
+    nodes, roots = [], []
     for t in range(cfg.n_trees):
         rows = bootstrap_rows(cfg.seed, t, n)
-        trees.append(_reference_grow(data.values[rows], data.labels[rows], 0, cfg))
-    expected = forest_to_arrays(ForestModel(trees=tuple(trees)))
-    got = forest_to_arrays(train_random_forest(data, cfg))
-    assert len(expected["p1"]) > cfg.n_trees  # at least one tree split
+        roots.append(len(nodes))
+        _reference_grow(data.values[rows], data.labels[rows], 0, cfg, nodes)
+    expected = dict(zip(("feature", "threshold", "left", "right", "p1"), map(np.array, zip(*nodes))))
+    expected["roots"] = np.array(roots)
+    model = train_random_forest(data, cfg)
+    assert len(nodes) > cfg.n_trees  # at least one tree split
     for key, value in expected.items():
-        assert np.array_equal(got[key], value), key
+        got = getattr(model, key)
+        assert got.dtype == value.dtype and np.array_equal(got, value), key

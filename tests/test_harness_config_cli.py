@@ -270,6 +270,13 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg_path)]) == 1
     assert "synthetic data section" in capsys.readouterr().err
 
+    # the networks take the top-level seed alone, so train.seed is rejected
+    d = config_to_dict(_small_cfg())
+    d["train"]["seed"] = 3
+    cfg_path.write_text(json.dumps(d))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "'seed'" in capsys.readouterr().err
+
     with pytest.raises(SystemExit):
         main([])
 

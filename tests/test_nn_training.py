@@ -167,10 +167,10 @@ def test_train_model_monitors_train_when_val_too_small(tmp_path):
 def test_train_model_validation():
     empty = FeatureMatrix.from_arrays(np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
-        train_model(empty, empty, fast_cfg(), **TINY)
+        train_model(empty, empty, fast_cfg(), **TINY, seed=0)
     single = FeatureMatrix.from_arrays([[0.0, 0.0], [1.0, 1.0]], [1, 1])
     with pytest.raises(ValueError):
-        train_model(single, empty, fast_cfg(), **TINY)
+        train_model(single, empty, fast_cfg(), **TINY, seed=0)
 
 
 def _overflowing(data):
@@ -184,7 +184,7 @@ def _overflowing(data):
 def test_train_model_raises_on_non_finite_loss():
     train, val = _split(_overflowing(make_blobs(n_per_class=10, n_features=3, seed=6)), 4)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at epoch 1$"):
-        train_model(train, val, fast_cfg(), **TINY)
+        train_model(train, val, fast_cfg(), **TINY, seed=0)
 
 
 def _embedding_problem(seed, n=30, d=4):
@@ -219,15 +219,15 @@ def test_train_auxiliary_patience_and_fallback():
 def test_train_auxiliary_validation():
     X, y = _embedding_problem(3)
     with pytest.raises(ValueError):
-        train_auxiliary(X, np.ones(len(X), dtype=int), X, y, fast_cfg())
+        train_auxiliary(X, np.ones(len(X), dtype=int), X, y, fast_cfg(), seed=0)
     with pytest.raises(ValueError):
-        train_auxiliary(X, y[:-1], X, y, fast_cfg())
+        train_auxiliary(X, y[:-1], X, y, fast_cfg(), seed=0)
 
 
 def test_train_auxiliary_raises_on_non_finite_loss():
     X, y = _embedding_problem(6)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at epoch 1$"):
-        train_auxiliary(X * 1e308, y, X, y, fast_cfg())
+        train_auxiliary(X * 1e308, y, X, y, fast_cfg(), seed=0)
 
 
 def test_train_auxiliary_determinism():

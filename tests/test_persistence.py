@@ -8,9 +8,8 @@ import pytest
 from conftest import make_blobs
 
 from guidedboost.classifiers.adapters import (
-    ForestAdapter,
+    IdentityAdapter,
     KnnAdapter,
-    LogisticAdapter,
     SvmAdapter,
 )
 from guidedboost.classifiers.forest import ForestConfig, train_random_forest
@@ -52,11 +51,11 @@ def _empty_like(data):
 
 def _adapter(kind, data):
     if kind == "logistic":
-        return LogisticAdapter(train_logistic(data))
+        return IdentityAdapter(train_logistic(data))
     if kind == "svm":
         return SvmAdapter.fit(train_linear_svm(data), data)
     if kind == "forest":
-        return ForestAdapter(train_random_forest(data, ForestConfig(n_trees=5, seed=1)))
+        return IdentityAdapter(train_random_forest(data, ForestConfig(n_trees=5, seed=1)))
     return KnnAdapter.fit(NearestNeighborModel.fit(data), data, ForestConfig(n_trees=5, seed=2))
 
 
@@ -83,6 +82,11 @@ def test_guided_round_trip_per_base(kind, tmp_path):
     l2, r2 = pipeline_predict(back, data)
     assert np.array_equal(l1, l2)
     assert np.array_equal(r1, r2)
+    for probabilities in ("predict_probabilities", "routing_probabilities"):
+        assert np.array_equal(
+            getattr(back.base, probabilities)(data.values),
+            getattr(pipe.base, probabilities)(data.values),
+        ), probabilities
     assert back.metadata == pipe.metadata
     assert back.thresholds == pipe.thresholds
 
@@ -175,22 +179,42 @@ def test_deflated_archive_still_loads(tmp_path):
     assert np.array_equal(routes, want_routes)
 
 
-# Archives written by an earlier release, before guided and classic pipelines
-# shared one type: make_blobs(12, 3, seed=5), a base that predicts positive
-# everywhere (so pair models 2-4 are skipped), CFG, seed 0, a logistic
-# adapter and thresholds (0.3, 0.7), through guided_fit and classic_fit.
+# Archives written by an earlier release. guided and classic predate the
+# shared pipeline type: make_blobs(12, 3, seed=5), a base that predicts
+# positive everywhere (so pair models 2-4 are skipped), CFG, seed 0, a
+# logistic adapter and thresholds (0.3, 0.7), through guided_fit and
+# classic_fit. forest and knn predate the flat-array forest: on
+# make_blobs(12, 3, gap=1.0, scale=1.5, seed=5), a forest base
+# (ForestConfig(n_trees=3, max_depth=3, seed=1), thresholds (0.3, 0.7)) and a
+# 1-NN base over make_blobs(6, 3, gap=1.0, scale=1.5, seed=6) whose error
+# proxy was fitted on the data (ForestConfig(n_trees=3, max_depth=3, seed=2),
+# thresholds (0, 1)); each through guided_fit with its own base's report,
+# CFG and seed 0. Labels and routes ("a" for the auxiliary head, "b" for the
+# base) are those the writing release predicted on the same data.
 ARCHIVES = Path(__file__).parent / "data"
+EARLIER = {
+    "guided": ({}, "0" * 12 + "1" * 12, "b" * 24),
+    "classic": ({}, "0" * 12 + "1" * 12, "b" * 24),
+    "forest": ({"gap": 1.0, "scale": 1.5},
+               "010000000000110110110111", "baaaaabbbbbbbbaabbbbaabb"),
+    "knn": ({"gap": 1.0, "scale": 1.5},
+            "010100100011000110101011", "aaaaaaabaaaaaaaababaaaaa"),
+}
 
 
 @pytest.mark.parametrize("kind, present", [
     ("guided", [True, False, False, False]),
     ("classic", []),
+    ("forest", [True] * 4),
+    ("knn", [True] * 4),
 ])
 def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path):
     path = ARCHIVES / f"archive_{kind}_v1.zip"
     back = load(path)
     with zipfile.ZipFile(path) as zf:
-        assert json.loads(zf.read("manifest.json"))["kind"] == kind
+        manifest = json.loads(zf.read("manifest.json"))
+    assert manifest["kind"] == ("guided" if present else "classic")
+    assert manifest["base"]["type"] == (kind if kind in ("forest", "knn") else "logistic")
     assert [m is not None for m in back.stage.models_1_to_4] == present
     again = tmp_path / "again.zip"
     save(back, again)
@@ -198,9 +222,11 @@ def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path)
         assert old.namelist() == new.namelist()
         for name in old.namelist():
             assert old.read(name) == new.read(name), name
-    data = make_blobs(n_per_class=12, n_features=3, seed=5)
-    labels, routes = pipeline_predict(back, data)
-    assert labels.shape == routes.shape == (data.n_samples,)
+    blobs, labels, routes = EARLIER[kind]
+    data = make_blobs(n_per_class=12, n_features=3, seed=5, **blobs)
+    got_labels, got_routes = pipeline_predict(back, data)
+    assert "".join(map(str, got_labels)) == labels
+    assert "".join(r[0] for r in got_routes) == routes
 
 
 # ------------------------------------------------------------ corruption
