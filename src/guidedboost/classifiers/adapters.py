@@ -29,7 +29,7 @@ from .linear import LinearModel
 
 @dataclass(frozen=True)
 class ScoreRange:
-    """Observed decision-score extremes plus the target probability range.
+    """Observed decision-score extremes.
 
     f_min/f_max are taken over the union of all score populations the
     transform will ever see (train, validation and test), so the mapping is
@@ -38,16 +38,12 @@ class ScoreRange:
 
     f_min: float
     f_max: float
-    p_min: float = 0.0
-    p_max: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.f_min) and np.isfinite(self.f_max)):
             raise ValueError("ScoreRange: non-finite score bounds")
         if self.f_min > self.f_max:
             raise ValueError("ScoreRange: f_min exceeds f_max")
-        if not (0.0 <= self.p_min <= self.p_max <= 1.0):
-            raise ValueError("ScoreRange: need 0 <= p_min <= p_max <= 1")
 
     @classmethod
     def from_scores(cls, *score_arrays: np.ndarray) -> "ScoreRange":
@@ -60,29 +56,27 @@ class ScoreRange:
 
 
 def decision_to_probability(scores: np.ndarray, rng: ScoreRange) -> np.ndarray:
-    """Min-max map applied separately per score sign.
+    """Min-max map onto [0, 1], applied separately per score sign.
 
-    Negative scores land in [p_min, mid), non-negative in [mid, p_max] where
-    mid is the midpoint of the output range, so sign(f) >= 0 iff p >= mid
-    (0.5 with the default range) and ordering is preserved on each side. A
-    zero-width side maps to the midpoint of its sub-range.
+    Negative scores land in [0, 0.5), non-negative in [0.5, 1], so
+    sign(f) >= 0 iff p >= 0.5 and ordering is preserved on each side. A
+    zero-width side maps to the midpoint of its half (0.25 or 0.75).
     """
     f = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(f).all():
         raise ValueError("decision_to_probability: non-finite score")
-    mid = 0.5 * (rng.p_min + rng.p_max)
     p = np.empty_like(f)
     pos = f >= 0.0
     if rng.f_max > 0.0:
-        p[pos] = mid + (rng.p_max - mid) * (f[pos] / rng.f_max)
+        p[pos] = 0.5 + 0.5 * (f[pos] / rng.f_max)
     else:
-        p[pos] = 0.5 * (mid + rng.p_max)
+        p[pos] = 0.75
     neg = ~pos
     if rng.f_min < 0.0:
-        p[neg] = mid * (1.0 - f[neg] / rng.f_min) + rng.p_min * (f[neg] / rng.f_min)
+        p[neg] = 0.5 * (1.0 - f[neg] / rng.f_min)
     else:
-        p[neg] = 0.5 * (rng.p_min + mid)
-    return np.clip(p, rng.p_min, rng.p_max)
+        p[neg] = 0.25
+    return np.clip(p, 0.0, 1.0)
 
 
 def train_error_proxy(

@@ -163,9 +163,6 @@ class ForestModel:
             acc += scratch
         return acc / len(self.roots)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
-
 
 def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) -> ForestModel:
     """Fit a bagged forest; each tree draws its own bootstrap sample.

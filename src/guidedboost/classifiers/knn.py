@@ -70,9 +70,6 @@ class NearestNeighborModel:
                 winners[start + r] = cand[np.argmin(exact)]
         return winners
 
-    def neighbor_ids(self, X: np.ndarray) -> np.ndarray:
-        return self.ids[self.neighbor_positions(X)]
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.labels[self.neighbor_positions(X)]
 

@@ -1,59 +1,1 @@
 """Experiment harness: data IO, splits, synthetic data, config, CLI, driver."""
-
-from .config import (
-    BASE_KINDS,
-    DATA_FORMATS,
-    ExperimentConfig,
-    SyntheticSpec,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
-from .experiment import (
-    CURVE_GRID,
-    ExperimentResult,
-    MetricsRow,
-    Prepared,
-    StageError,
-    fit_base,
-    load_data,
-    metrics_to_csv,
-    prepare,
-    run_experiment,
-)
-from .features import feature_scores, feature_select_topk
-from .io import load_dense_csv, load_sparse, write_dense_csv
-from .splits import split_80_10_10
-from .synth import band_limits, generate_synthetic, in_band, xor_rule
-
-__all__ = [
-    "BASE_KINDS",
-    "DATA_FORMATS",
-    "ExperimentConfig",
-    "SyntheticSpec",
-    "config_from_dict",
-    "config_to_dict",
-    "load_config",
-    "save_config",
-    "CURVE_GRID",
-    "ExperimentResult",
-    "MetricsRow",
-    "Prepared",
-    "StageError",
-    "fit_base",
-    "load_data",
-    "metrics_to_csv",
-    "prepare",
-    "run_experiment",
-    "feature_scores",
-    "feature_select_topk",
-    "load_dense_csv",
-    "load_sparse",
-    "write_dense_csv",
-    "split_80_10_10",
-    "band_limits",
-    "generate_synthetic",
-    "in_band",
-    "xor_rule",
-]

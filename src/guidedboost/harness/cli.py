@@ -20,7 +20,7 @@ from ..persistence import load as load_pipeline
 from ..pipeline import ROUTE_AUXILIARY, ROUTE_BASE, pipeline_predict
 from ..thresholding import curve_to_csv
 from .config import ExperimentConfig, load_config
-from .experiment import StageError, metrics_to_csv, prepare, run_experiment
+from .experiment import StageError, load_data, metrics_to_csv, prepare, run_experiment
 from .io import load_dense_csv, load_sparse, write_dense_csv
 
 
@@ -73,8 +73,9 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _load_any(path: str, fmt: str):
-    return load_dense_csv(path) if fmt == "dense" else load_sparse(path)
+def _load_any(path: str, fmt: str, n_features: int):
+    """A labeled dataset; a sparse file is read at the pipeline's raw width."""
+    return load_dense_csv(path) if fmt == "dense" else load_sparse(path, n_features)
 
 
 def _print_report(label: str, rep) -> None:
@@ -164,8 +165,6 @@ def _cmd_synth(args) -> int:
         raise ValueError("synth requires a config with a synthetic data section")
     if not cfg.out_dir:
         raise ValueError("synth requires an output directory (--out or out_dir)")
-    from .experiment import load_data
-
     data = load_data(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,7 +176,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     pipeline = load_pipeline(args.pipeline)
-    data = _load_any(args.data, args.format)
+    data = _load_any(args.data, args.format, pipeline.n_raw_features)
     preds, routes = pipeline_predict(pipeline, data)
     _print_report("whole", evaluate(preds, data.labels))
     for label, route in (("easy", ROUTE_BASE), ("difficult", ROUTE_AUXILIARY)):
@@ -191,7 +190,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     pipeline = load_pipeline(args.pipeline)
-    data = _load_any(args.data, args.format)
+    data = _load_any(args.data, args.format, pipeline.n_raw_features)
     preds, routes = pipeline_predict(pipeline, data)
     lines = ["id,prediction,route"]
     lines += [

@@ -29,7 +29,7 @@ from ..data import (
     confusion_partition,
     prediction_report,
 )
-from ..metrics import EvaluationReport, combined_report, delta_errors, errors_reduction, evaluate
+from ..metrics import EvaluationReport, delta_errors, errors_reduction, evaluate
 from ..persistence import save
 from ..pipeline import Pipeline, classic_fit, guided_fit
 from ..thresholding import (
@@ -366,9 +366,11 @@ def run_experiment(
                 if pipe is None:
                     continue
                 aux_preds = pipe.stage.predict(difficult_test.values)
-                comb_report, _, diff_report = combined_report(
-                    base_preds[easy], test.labels[easy], aux_preds, difficult_test.labels,
-                )
+                diff_report = evaluate(aux_preds, difficult_test.labels, scope="difficult")
+                # difficult_test holds the test rows at ~easy, in test order
+                combined = base_preds.copy()
+                combined[~easy] = aux_preds
+                comb_report = evaluate(combined, test.labels, scope="combined")
                 delta = delta_errors(base_difficult, diff_report)
                 reduction = errors_reduction(delta, base_difficult.total_errors)
                 rows.append(_row(name, diff_report, delta, reduction))

@@ -75,31 +75,3 @@ def errors_reduction(delta: int, base_errors: int) -> float | None:
         return None
     return round(-delta / base_errors * 100.0, 2)
 
-
-def combined_report(
-    easy_preds: np.ndarray,
-    easy_labels: np.ndarray,
-    difficult_preds: np.ndarray,
-    difficult_labels: np.ndarray,
-) -> tuple[EvaluationReport, EvaluationReport | None, EvaluationReport | None]:
-    """Evaluate the two routed halves together and individually.
-
-    Either half may be empty; its sub-report is then None. Returns
-    (combined, easy, difficult).
-    """
-    easy_preds = np.asarray(easy_preds, dtype=np.int64)
-    easy_labels = np.asarray(easy_labels, dtype=np.int64)
-    difficult_preds = np.asarray(difficult_preds, dtype=np.int64)
-    difficult_labels = np.asarray(difficult_labels, dtype=np.int64)
-    easy = evaluate(easy_preds, easy_labels, scope="easy") if easy_preds.size else None
-    difficult = (
-        evaluate(difficult_preds, difficult_labels, scope="difficult")
-        if difficult_preds.size
-        else None
-    )
-    combined = evaluate(
-        np.concatenate([easy_preds, difficult_preds]),
-        np.concatenate([easy_labels, difficult_labels]),
-        scope="combined",
-    )
-    return combined, easy, difficult

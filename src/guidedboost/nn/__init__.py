@@ -1,44 +1,1 @@
 """From-scratch MLP stack: layers, losses, models, and training loops."""
-from .layers import BatchNorm, L2Normalize, Linear, ReLU, Sigmoid
-from .losses import bce_loss, supcon_loss
-from .network import (
-    AUXILIARY_WIDTHS,
-    DESK_ENCODER_WIDTHS,
-    DESK_PROJECTION_WIDTHS,
-    PAPER_ENCODER_WIDTHS,
-    PAPER_PROJECTION_WIDTHS,
-    AuxiliaryClassifier,
-    EncoderProjectionModel,
-    MLP,
-    MlpSpec,
-    auxiliary_spec,
-    encoder_spec,
-    projection_spec,
-)
-from .training import TrainConfig, stratified_batches, train_auxiliary, train_model
-
-__all__ = [
-    "AUXILIARY_WIDTHS",
-    "AuxiliaryClassifier",
-    "BatchNorm",
-    "DESK_ENCODER_WIDTHS",
-    "DESK_PROJECTION_WIDTHS",
-    "EncoderProjectionModel",
-    "L2Normalize",
-    "Linear",
-    "MLP",
-    "MlpSpec",
-    "PAPER_ENCODER_WIDTHS",
-    "PAPER_PROJECTION_WIDTHS",
-    "ReLU",
-    "Sigmoid",
-    "TrainConfig",
-    "auxiliary_spec",
-    "bce_loss",
-    "encoder_spec",
-    "projection_spec",
-    "stratified_batches",
-    "supcon_loss",
-    "train_auxiliary",
-    "train_model",
-]

@@ -1,4 +1,4 @@
-"""MLP assembly: specs, the encoder+projection pair, and the auxiliary head."""
+"""MLP assembly: specs, the encoder+projection pair, and the auxiliary head's labels."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -74,11 +74,21 @@ def _seed_list(seed) -> list[int]:
     return [int(s) for s in seed]
 
 
+@dataclass
+class TrainState:
+    """Bookkeeping from the last fit: epochs run and the best metric seen."""
+
+    epochs_run: int = 0
+    best_metric: float = float("nan")
+
+
 class MLP:
     """Sequential network built from an MlpSpec.
 
     Layer seeds derive from (seed sequence, layer index) so identical specs
     and seeds rebuild identical parameters regardless of surrounding code.
+    ``train_state`` records the last fit when the network is trained on its
+    own, as the auxiliary head is.
     """
 
     def __init__(self, input_width: int, spec: MlpSpec, seed):
@@ -87,6 +97,7 @@ class MLP:
         self.input_width = input_width
         self.spec = spec
         self.seed = _seed_list(seed)
+        self.train_state = TrainState()
         self.layers = []
         prev = input_width
         for i, width in enumerate(spec.layer_widths):
@@ -151,14 +162,6 @@ class MLP:
         return [a.copy() for a in self.state_arrays()]
 
 
-@dataclass
-class TrainState:
-    """Bookkeeping from the last fit: epochs run and the best metric seen."""
-
-    epochs_run: int = 0
-    best_metric: float = float("nan")
-
-
 class EncoderProjectionModel:
     """Encoder + projection network pair ("Model").
 
@@ -211,31 +214,9 @@ class EncoderProjectionModel:
         return [a.copy() for a in self.state_arrays()]
 
 
-class AuxiliaryClassifier:
-    """Two-output sigmoid head; predicted label is the argmax of the pair."""
+def head_labels(head: MLP, X: np.ndarray) -> np.ndarray:
+    """The auxiliary head's labels: the argmax of its two eval-mode outputs.
 
-    def __init__(self, input_width: int, seed, spec: MlpSpec | None = None):
-        self.mlp = MLP(input_width, spec or auxiliary_spec(), seed)
-        self.train_state = TrainState()
-
-    @property
-    def input_width(self) -> int:
-        return self.mlp.input_width
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.mlp.forward(x, train)
-
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        return self.mlp.forward(np.asarray(X, dtype=np.float64), train=False)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_scores(X), axis=1).astype(np.int64)
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return self.mlp.state_arrays()
-
-    def load_state_arrays(self, arrays: list[np.ndarray]):
-        self.mlp.load_state_arrays(arrays)
-
-    def snapshot(self) -> list[np.ndarray]:
-        return self.mlp.snapshot()
+    The head is an MLP built from ``auxiliary_spec()``.
+    """
+    return np.argmax(head.forward(X), axis=1).astype(np.int64)

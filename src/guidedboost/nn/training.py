@@ -15,10 +15,12 @@ import numpy as np
 from ..data import FeatureMatrix
 from .losses import bce_loss, supcon_loss
 from .network import (
-    AuxiliaryClassifier,
+    MLP,
     EncoderProjectionModel,
     MlpSpec,
+    auxiliary_spec,
     encoder_spec,
+    head_labels,
     projection_spec,
 )
 
@@ -161,8 +163,8 @@ def train_auxiliary(
     val_labels: np.ndarray,
     cfg: TrainConfig,
     seed,
-) -> AuxiliaryClassifier:
-    """Fit the two-output sigmoid head on embeddings.
+) -> MLP:
+    """Fit the two-output sigmoid head (an ``auxiliary_spec()`` MLP) on embeddings.
 
     Cross-entropy against one-hot targets; early stopping maximises accuracy
     on the validation embeddings (training accuracy when no validation rows
@@ -181,7 +183,7 @@ def train_auxiliary(
     yv = np.asarray(val_labels, dtype=np.int64)
     if Xv.size == 0:
         Xv, yv = X, y
-    head = AuxiliaryClassifier(X.shape[1], seed)
+    head = MLP(X.shape[1], auxiliary_spec(), seed)
     onehot = np.eye(2)[y]
 
     def step(batch, epoch):
@@ -189,11 +191,11 @@ def train_auxiliary(
         loss, grad = bce_loss(out, onehot[batch])
         if not np.isfinite(loss):
             raise FloatingPointError(f"train_auxiliary: batch loss is {loss} at epoch {epoch}")
-        head.mlp.backward(grad, input_grad=False)
-        head.mlp.sgd_step(cfg.learning_rate)
+        head.backward(grad, input_grad=False)
+        head.sgd_step(cfg.learning_rate)
 
     def score(epoch):
-        return float((head.predict(Xv) == yv).mean())
+        return float((head_labels(head, Xv) == yv).mean())
 
     head.train_state.best_metric = float(_early_stopping(head, y, cfg, seed, step, score))
     return head

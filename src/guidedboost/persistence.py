@@ -11,8 +11,9 @@ is read off its model. Parameters are ``<f8``, integer
 tables ``<i8``. Members are stored uncompressed: float64 weights barely
 deflate, and compressing them cost most of a save. Archives written with
 deflated members, as earlier releases did, still load. Loading validates the
-format tag, the version, and every blob's byte length, so truncation and
-foreign files fail with a diagnostic instead of garbage predictions.
+format tag, the version, every manifest key it reads, and every blob's dtype
+and byte length, so truncation and foreign files fail with a diagnostic
+instead of garbage predictions.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .classifiers.forest import ForestModel
 from .classifiers.knn import NearestNeighborModel
 from .classifiers.linear import LinearModel
 from .data import ThresholdPair
-from .nn.network import AuxiliaryClassifier, EncoderProjectionModel, MlpSpec
+from .nn.network import MLP, EncoderProjectionModel, MlpSpec
 from .pipeline import Pipeline, Stage
 
 FORMAT_TAG = "guidedboost-pipeline"
@@ -37,6 +38,9 @@ _FLOAT = "<f8"
 _INT = "<i8"
 # manifest key and blob prefix of the Model that feeds the auxiliary head
 _MODEL_KEYS = {"guided": ("model_5", "model5"), "classic": ("model", "model")}
+# the svm score map's probability range: archives record it, and loading
+# rejects any other range
+_P_RANGE = {"p_min": 0.0, "p_max": 1.0}
 
 
 class _ArrayStore:
@@ -99,23 +103,23 @@ def _load_model(meta: dict, arrays: dict[str, np.ndarray], prefix: str) -> Encod
     return model
 
 
-def _store_auxiliary(store: _ArrayStore, head: AuxiliaryClassifier) -> dict:
+def _store_auxiliary(store: _ArrayStore, head: MLP) -> dict:
     arrays = head.state_arrays()
     for i, a in enumerate(arrays):
         store.add(f"aux_a{i}", a)
     return {
         "input_width": head.input_width,
-        "seed": head.mlp.seed,
-        "spec": _spec_to_json(head.mlp.spec),
+        "seed": head.seed,
+        "spec": _spec_to_json(head.spec),
         "n_arrays": len(arrays),
     }
 
 
-def _load_auxiliary(meta: dict, arrays: dict[str, np.ndarray]) -> AuxiliaryClassifier:
-    head = AuxiliaryClassifier(
+def _load_auxiliary(meta: dict, arrays: dict[str, np.ndarray]) -> MLP:
+    head = MLP(
         int(meta["input_width"]),
+        _spec_from_json(meta["spec"]),
         [int(s) for s in meta["seed"]],
-        spec=_spec_from_json(meta["spec"]),
     )
     head.load_state_arrays([arrays[f"aux_a{i}"] for i in range(int(meta["n_arrays"]))])
     return head
@@ -144,7 +148,7 @@ def _store_base(store: _ArrayStore, base) -> dict:
         return {
             "type": "svm",
             "bias": base.model.bias,
-            "score_range": {"f_min": r.f_min, "f_max": r.f_max, "p_min": r.p_min, "p_max": r.p_max},
+            "score_range": {"f_min": r.f_min, "f_max": r.f_max, **_P_RANGE},
         }
     if isinstance(base, KnnAdapter):
         store.add("knn_values", base.model.values)
@@ -163,14 +167,15 @@ def _load_base(meta: dict, arrays: dict[str, np.ndarray]):
         )
     if kind == "svm":
         r = meta["score_range"]
+        for key, value in _P_RANGE.items():
+            if float(r[key]) != value:
+                raise ValueError(
+                    f"unsupported score_range {key} {r[key]!r} in manifest; "
+                    f"this build maps svm scores onto [0, 1]"
+                )
         return SvmAdapter(
             LinearModel(weights=arrays["base_weights"], bias=float(meta["bias"]), kind="svm"),
-            ScoreRange(
-                f_min=float(r["f_min"]),
-                f_max=float(r["f_max"]),
-                p_min=float(r["p_min"]),
-                p_max=float(r["p_max"]),
-            ),
+            ScoreRange(f_min=float(r["f_min"]), f_max=float(r["f_max"])),
         )
     if kind == "forest":
         return IdentityAdapter(_load_forest(arrays, "base_forest"))
@@ -226,6 +231,10 @@ def _read_arrays(zf: zipfile.ZipFile, table: dict) -> dict[str, np.ndarray]:
             raw = zf.read(entry["file"])
         except KeyError:
             raise ValueError(f"pipeline container is missing blob {entry['file']}") from None
+        if entry["dtype"] not in (_FLOAT, _INT):
+            raise ValueError(
+                f"pipeline container blob {name} has unsupported dtype {entry['dtype']!r}"
+            )
         shape = tuple(int(s) for s in entry["shape"])
         expected = int(np.prod(shape, dtype=np.int64)) * 8
         if len(raw) != expected:
@@ -259,8 +268,13 @@ def load(path) -> Pipeline:
                 f"unsupported pipeline container version {manifest.get('version')!r}; "
                 f"this build reads version {FORMAT_VERSION}"
             )
-        arrays = _read_arrays(zf, manifest["arrays"])
+        try:
+            return _from_manifest(manifest, _read_arrays(zf, manifest["arrays"]))
+        except KeyError as exc:
+            raise ValueError(f"pipeline manifest is missing key {exc.args[0]!r}") from None
 
+
+def _from_manifest(manifest: dict, arrays: dict[str, np.ndarray]) -> Pipeline:
     kind = manifest["kind"]
     if kind not in _MODEL_KEYS:
         raise ValueError(f"unknown pipeline kind {kind!r} in manifest")

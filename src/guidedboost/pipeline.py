@@ -30,10 +30,11 @@ from .data import (
     confusion_partition,
 )
 from .nn.network import (
-    AuxiliaryClassifier,
+    MLP,
     EncoderProjectionModel,
     MlpSpec,
     encoder_spec,
+    head_labels,
     projection_spec,
 )
 from .nn.training import TrainConfig, train_auxiliary, train_model
@@ -106,6 +107,9 @@ def _row_blocks(n: int) -> list[slice]:
 class Stage:
     """Trained retraining stage: an embedder feeding the auxiliary head.
 
+    The head is an MLP built from ``auxiliary_spec()``; ``head_labels`` gives
+    its labels.
+
     Guided: ``models_1_to_4`` holds the four confusion-pair Models (None for a
     skipped pairing) and ``model`` is Model 5, fed their concatenated
     embeddings. Classic: ``models_1_to_4`` is empty and ``model`` is the single
@@ -114,7 +118,7 @@ class Stage:
 
     models_1_to_4: tuple[EncoderProjectionModel | None, ...]
     model: EncoderProjectionModel
-    auxiliary: AuxiliaryClassifier
+    auxiliary: MLP
 
     def __post_init__(self):
         if len(self.models_1_to_4) not in (0, 4):
@@ -144,7 +148,7 @@ class Stage:
             # a lone row goes in twice, so it takes the batch path as well
             return self.predict(np.repeat(X, 2, axis=0))[:1]
         return _in_blocks(
-            lambda block: self.auxiliary.predict(self.embed(block)), X,
+            lambda block: head_labels(self.auxiliary, self.embed(block)), X,
             np.empty(X.shape[0], dtype=np.int64),
         )
 

@@ -66,15 +66,12 @@ def test_transform_contract_on_random_vectors():
 def test_score_range_construction():
     r = ScoreRange.from_scores(np.array([-1.0, 2.0]), np.array([5.0]), np.array([0.5]))
     assert r.f_min == -1.0 and r.f_max == 5.0
-    assert r.p_min == 0.0 and r.p_max == 1.0
     with pytest.raises(ValueError):
         ScoreRange.from_scores()
     with pytest.raises(ValueError):
         ScoreRange.from_scores(np.array([np.nan]))
     with pytest.raises(ValueError):
         ScoreRange(2.0, 1.0)
-    with pytest.raises(ValueError):
-        ScoreRange(0.0, 1.0, p_min=0.9, p_max=0.1)
 
 
 # ----------------------------------------------------------- error proxy

@@ -60,7 +60,7 @@ def test_pure_threshold_data_fits_exactly():
     y = np.concatenate([np.zeros(20, dtype=int), np.ones(20, dtype=int)])
     data = FeatureMatrix.from_arrays(x[:, None], y)
     model = train_random_forest(data, ForestConfig(n_trees=10, max_depth=3, seed=4))
-    assert float((model.predict(data.values) == y).mean()) == 1.0
+    assert np.array_equal(model.predict_proba(data.values) >= 0.5, y == 1)
 
 
 def test_root_split_matches_exhaustive_oracle():

@@ -20,6 +20,7 @@ from guidedboost.harness import experiment
 from guidedboost.harness.experiment import StageError, prepare, run_experiment
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
+from guidedboost.persistence import load
 from guidedboost.pipeline import RetrainConfig
 from guidedboost.thresholding import ToleranceConfig
 
@@ -191,13 +192,22 @@ def test_run_metrics_rows_count_the_test_split(run_dir):
     test = prep.assignments["test"]
     n_test = prep.test.n_samples
     assert test.easy_ids and test.difficult_ids  # fixture sanity: both scopes reported
-    table = csv.DictReader(io.StringIO((run_dir / "metrics.csv").read_text()))
-    n = {(r["predictor"], r["scope"]): int(r["n"]) for r in table}
+    rows = list(csv.DictReader(io.StringIO((run_dir / "metrics.csv").read_text())))
+    n = {(r["predictor"], r["scope"]): int(r["n"]) for r in rows}
     assert n["base", "easy"] == len(test.easy_ids)
     assert n["base", "difficult"] == len(test.difficult_ids)
     assert n["base", "easy"] + n["base", "difficult"] == n_test
     for variant in ("guided", "classic"):
         assert n[variant, "combined"] == n_test
+    # combined errors: the base's on the easy test rows plus the head's on
+    # the difficult ones
+    errors = {(r["predictor"], r["scope"]): int(r["errors"]) for r in rows}
+    difficult = prep.difficult_test
+    for variant in ("guided", "classic"):
+        head = load(run_dir / f"pipeline_{variant}.zip").stage.predict(difficult.values)
+        head_errors = int(np.sum(head != difficult.labels))
+        assert errors[variant, "difficult"] == head_errors
+        assert errors[variant, "combined"] == errors["base", "easy"] + head_errors
 
 
 def test_cli_partial_commands(run_dir, tmp_path, capsys):
@@ -236,6 +246,26 @@ def test_cli_evaluate_and_predict(run_dir, tmp_path, capsys):
     assert len(lines) == 201
     routes = {line.split(",")[2] for line in lines[1:]}
     assert routes <= {"base", "auxiliary"}
+
+
+def test_cli_reads_sparse_files_at_the_pipeline_width(run_dir, tmp_path, capsys):
+    # the pipeline takes 3 features; the last is zero in every row, so no
+    # sparse line mentions it
+    rows = [(1, 0.5, -1.25), (0, -2.0, 0.75), (1, 3.0, 1.5), (0, -0.5, -3.0)]
+    (tmp_path / "d.svm").write_text("".join(f"{y} 0:{a!r} 1:{b!r}\n" for y, a, b in rows))
+    (tmp_path / "d.csv").write_text(
+        "f0,f1,f2,label\n" + "".join(f"{a!r},{b!r},0.0,{y}\n" for y, a, b in rows)
+    )
+    pipe = str(run_dir / "pipeline_guided.zip")
+    outputs = {}
+    for fmt, name in (("sparse", "d.svm"), ("dense", "d.csv")):
+        data = ["--pipeline", pipe, "--data", str(tmp_path / name), "--format", fmt]
+        assert main(["evaluate", *data]) == 0, capsys.readouterr().err
+        evaluated = capsys.readouterr().out
+        assert main(["predict", *data]) == 0, capsys.readouterr().err
+        outputs[fmt] = evaluated, capsys.readouterr().out
+    assert outputs["sparse"] == outputs["dense"]
+    assert len(outputs["sparse"][1].splitlines()) == 1 + len(rows)
 
 
 def test_cli_determinism(run_dir, tmp_path):

@@ -1,7 +1,8 @@
 """Static check: every module-level import in the package is used.
 
 Deleting code tends to leave its imports behind, and the project runs no
-linter. Package ``__init__.py`` files re-export names and are skipped. A name
+linter. Package ``__init__.py`` files are checked too: they re-export
+nothing, so every name is imported from the module that defines it. A name
 used only inside a quoted annotation counts as unused; the package imports
 ``annotations`` from ``__future__``, so annotations need no quotes.
 """
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "guidedboost"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:

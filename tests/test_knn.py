@@ -38,7 +38,7 @@ def test_equidistant_tie_prefers_lowest_id():
         ids=np.array([5, 3], dtype=np.int64),
     )
     model = NearestNeighborModel.fit(data)
-    assert model.neighbor_ids(np.array([[1.0]]))[0] == 3
+    assert model.ids[model.neighbor_positions(np.array([[1.0]]))][0] == 3
     assert model.predict_proba(np.array([[1.0]]))[0] == 0.0  # id 3 is negative
 
 
@@ -57,7 +57,7 @@ def test_matches_brute_force_oracle():
     )
     model = NearestNeighborModel.fit(train)
     queries = rng.normal(size=(60, 4))
-    got = model.neighbor_ids(queries)
+    got = model.ids[model.neighbor_positions(queries)]
     want = [brute_force_neighbor(train.values, train.ids, q) for q in queries]
     assert np.array_equal(got, want)
 
@@ -70,7 +70,7 @@ def test_duplicate_training_rows_resolve_by_id():
         ids=np.array([9, 2], dtype=np.int64),
     )
     model = NearestNeighborModel.fit(data)
-    assert model.neighbor_ids(np.array([[1.0]]))[0] == 2
+    assert model.ids[model.neighbor_positions(np.array([[1.0]]))][0] == 2
     assert model.predict(np.array([[1.0]]))[0] == 0
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from guidedboost.metrics import (
     EvaluationReport,
-    combined_report,
     delta_errors,
     errors_reduction,
     evaluate,
@@ -68,25 +67,6 @@ def test_errors_reduction_reported_pairs():
 def test_errors_reduction_edge_cases():
     assert errors_reduction(5, 100) == -5.0  # got worse
     assert errors_reduction(-3, 0) is None  # undefined without base errors
-
-
-def test_combined_report_merges_subsets():
-    easy_p, easy_y = np.array([1, 0, 0]), np.array([1, 0, 1])
-    diff_p, diff_y = np.array([1, 1]), np.array([1, 0])
-    combined, easy, diff = combined_report(easy_p, easy_y, diff_p, diff_y)
-    assert combined.n == 5
-    assert combined.total_errors == 2
-    assert combined.scope == "combined"
-    assert easy.scope == "easy" and easy.n == 3
-    assert diff.scope == "difficult" and diff.n == 2
-
-
-def test_combined_report_empty_side():
-    combined, easy, diff = combined_report(
-        np.array([1]), np.array([1]), np.array([], dtype=int), np.array([], dtype=int)
-    )
-    assert diff is None
-    assert combined.n == 1
 
 
 @given(

@@ -7,12 +7,12 @@ from guidedboost.nn.network import (
     AUXILIARY_WIDTHS,
     DESK_ENCODER_WIDTHS,
     PAPER_ENCODER_WIDTHS,
-    AuxiliaryClassifier,
     EncoderProjectionModel,
     MLP,
     MlpSpec,
     auxiliary_spec,
     encoder_spec,
+    head_labels,
     projection_spec,
 )
 
@@ -124,12 +124,12 @@ def test_encoder_projection_state_round_trip():
 
 
 def test_auxiliary_classifier():
-    head = AuxiliaryClassifier(4, seed=0)
+    head = MLP(4, auxiliary_spec(), seed=0)
     assert head.input_width == 4
     x = np.random.default_rng(3).normal(size=(6, 4))
-    scores = head.predict_scores(x)
+    scores = head.forward(x)
     assert scores.shape == (6, 2)
     assert np.all((scores > 0.0) & (scores < 1.0))  # sigmoid outputs
-    preds = head.predict(x)
+    preds = head_labels(head, x)
     assert np.array_equal(preds, np.argmax(scores, axis=1))
     assert preds.dtype == np.int64

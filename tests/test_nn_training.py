@@ -6,7 +6,7 @@ from conftest import make_blobs
 from guidedboost.data import FeatureMatrix
 from guidedboost.nn.layers import Linear
 from guidedboost.nn.losses import supcon_loss
-from guidedboost.nn.network import encoder_spec, projection_spec
+from guidedboost.nn.network import encoder_spec, head_labels, projection_spec
 from guidedboost.nn.training import (
     TrainConfig,
     stratified_batches,
@@ -199,7 +199,7 @@ def test_train_auxiliary_learns_and_restores_best():
     X, y = _embedding_problem(0)
     Xv, yv = _embedding_problem(1, n=10)
     head = train_auxiliary(X, y, Xv, yv, fast_cfg(max_epochs=60, patience=20, learning_rate=0.05), seed=3)
-    acc = float((head.predict(Xv) == yv).mean())
+    acc = float((head_labels(head, Xv) == yv).mean())
     assert head.train_state.best_metric == pytest.approx(acc, abs=1e-12)
     assert acc >= 0.8
 
@@ -213,7 +213,7 @@ def test_train_auxiliary_patience_and_fallback():
     # statistics stop drifting, so the run must stop well before max_epochs,
     # and a stop implies a full stale window after the last improvement
     assert cfg.patience + 1 <= head.train_state.epochs_run < cfg.max_epochs
-    assert head.train_state.best_metric == pytest.approx(float((head.predict(X) == y).mean()))
+    assert head.train_state.best_metric == pytest.approx(float((head_labels(head, X) == y).mean()))
 
 
 def test_train_auxiliary_validation():
@@ -236,7 +236,7 @@ def test_train_auxiliary_determinism():
     cfg = fast_cfg(max_epochs=10, learning_rate=0.05)
     h1 = train_auxiliary(X, y, Xv, yv, cfg, seed=9)
     h2 = train_auxiliary(X, y, Xv, yv, cfg, seed=9)
-    assert np.array_equal(h1.predict_scores(Xv), h2.predict_scores(Xv))
+    assert np.array_equal(h1.forward(Xv), h2.forward(Xv))
 
 
 def test_skipping_the_first_input_gradient_keeps_the_trained_bits(monkeypatch):

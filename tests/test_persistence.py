@@ -1,5 +1,6 @@
 """Pipeline container round-trips and corruption diagnostics."""
 import json
+import re
 import zipfile
 from pathlib import Path
 
@@ -231,9 +232,9 @@ def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path)
 
 # ------------------------------------------------------------ corruption
 
-def _saved(tmp_path):
+def _saved(tmp_path, kind="logistic"):
     data, report = _data_and_report(seed=3)
-    pipe = _guided_pipeline("logistic", data, report)
+    pipe = _guided_pipeline(kind, data, report)
     path = tmp_path / "pipe.zip"
     save(pipe, path)
     return path
@@ -322,4 +323,40 @@ def test_corrupt_manifest_json(tmp_path):
     out = _rewrite(path, tmp_path / "badjson.zip",
                    lambda name, b: b"{nope" if name == "manifest.json" else b)
     with pytest.raises(ValueError, match="manifest is corrupt"):
+        load(out)
+
+
+def _without(key):
+    return lambda m: m.pop(key)
+
+
+def _set(value, *path):
+    def mutate(m):
+        *parents, key = path
+        for p in parents:
+            m = m[p]
+        m[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("kind, mutate, message", [
+    ("logistic", _without("auxiliary"), "missing key 'auxiliary'"),
+    ("logistic", _without("arrays"), "missing key 'arrays'"),
+    ("logistic", _without("kind"), "missing key 'kind'"),
+    ("logistic", _without("thresholds"), "missing key 'thresholds'"),
+    ("logistic", _set("|S8", "arrays", "aux_a0", "dtype"),
+     "blob aux_a0 has unsupported dtype '|S8'"),
+    ("svm", _set(0.1, "base", "score_range", "p_min"), "score_range p_min 0.1"),
+    ("svm", _set(0.9, "base", "score_range", "p_max"), "score_range p_max 0.9"),
+], ids=["auxiliary", "arrays", "kind", "thresholds", "dtype", "p_min", "p_max"])
+def test_load_names_what_is_wrong_with_the_manifest(kind, mutate, message, tmp_path):
+    def rewrite(name, b):
+        if name != "manifest.json":
+            return b
+        m = json.loads(b)
+        mutate(m)
+        return json.dumps(m).encode()
+
+    out = _rewrite(_saved(tmp_path, kind), tmp_path / "edited.zip", rewrite)
+    with pytest.raises(ValueError, match=re.escape(message)):
         load(out)

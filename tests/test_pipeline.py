@@ -16,9 +16,11 @@ from guidedboost.data import (
 )
 from guidedboost.nn.layers import BatchNorm
 from guidedboost.nn.network import (
-    AuxiliaryClassifier,
+    MLP,
     EncoderProjectionModel,
+    auxiliary_spec,
     encoder_spec,
+    head_labels,
     projection_spec,
 )
 from guidedboost import pipeline
@@ -167,7 +169,7 @@ def test_pipeline_predict_routes_by_threshold():
 
     base_pred = (pipe.base.predict_probabilities(data.values) >= 0.5).astype(np.int64)
     assert np.array_equal(labels[easy], base_pred[easy])
-    aux_pred = pipe.stage.auxiliary.predict(pipe.stage.embed(data.values[~easy]))
+    aux_pred = head_labels(pipe.stage.auxiliary, pipe.stage.embed(data.values[~easy]))
     assert np.array_equal(labels[~easy], aux_pred)
 
 
@@ -210,7 +212,7 @@ def test_guided_pipeline_structural_validation():
             auxiliary=stage.auxiliary,
         )
     # a head that does not take the model's embedding width
-    head = AuxiliaryClassifier(stage.model.embedding_width + 1, seed=0)
+    head = MLP(stage.model.embedding_width + 1, auxiliary_spec(), seed=0)
     with pytest.raises(ValueError, match="auxiliary width"):
         Stage(models_1_to_4=(), model=stage.model, auxiliary=head)
 
@@ -230,7 +232,7 @@ def test_classic_pipeline_predicts():
     assert set(routes.tolist()) <= {"base", "auxiliary"}
     diff = routes == "auxiliary"
     if diff.any():
-        want = pipe.stage.auxiliary.predict(pipe.stage.model.embed(data.values[diff]))
+        want = head_labels(pipe.stage.auxiliary, pipe.stage.model.embed(data.values[diff]))
         assert np.array_equal(labels[diff], want)
 
 
@@ -262,8 +264,8 @@ def _untrained_stage(guided, n_features=12, seed=0):
     if not guided:
         pairs = ()
     embedder = model(4 * enc.out_width if guided else n_features, 5)
-    head = AuxiliaryClassifier(enc.out_width, seed=[seed, 6])
-    _perturb_batch_norms(head.mlp, rng)
+    head = MLP(enc.out_width, auxiliary_spec(), seed=[seed, 6])
+    _perturb_batch_norms(head, rng)
     return Stage(models_1_to_4=pairs, model=embedder, auxiliary=head)
 
 
@@ -288,7 +290,7 @@ def test_stage_predict_matches_whole_batch_bit_for_bit(guided, n):
     stage = _untrained_stage(guided)
     X = np.random.default_rng(n).normal(size=(n, 12))
     whole = stage.embed(X)
-    want = stage.auxiliary.predict(whole)
+    want = head_labels(stage.auxiliary, whole)
     assert np.array_equal(stage.predict(X), want)
     # the labels rest on the embeddings: each block carries the batch's bits
     for rows in _row_blocks(n):
@@ -329,13 +331,14 @@ def test_stage_predict_gives_a_lone_row_its_batch_bits(guided, monkeypatch):
     X = np.random.default_rng(2).normal(size=(50, 12))
     whole = stage.embed(X)
     seen = []
-    head_predict = stage.auxiliary.predict
-    monkeypatch.setattr(stage.auxiliary, "predict", lambda E: seen.append(E) or head_predict(E))
+    head_forward = stage.auxiliary.forward
+    monkeypatch.setattr(stage.auxiliary, "forward",
+                        lambda E, train=False: seen.append(E) or head_forward(E, train))
     for i in (0, 17, 49):
         label = stage.predict(X[i : i + 1])
         assert label.shape == (1,)
         assert np.array_equal(seen[-1][0], whole[i])
-        assert label[0] == stage.auxiliary.predict(whole)[i]
+        assert label[0] == head_labels(stage.auxiliary, whole)[i]
 
 
 def test_pipeline_predict_one_row():
