@@ -1,8 +1,12 @@
 """Building blocks for the from-scratch MLP stack.
 
-Every layer implements forward/backward on float64 arrays. Backward relies on
-caches written by the most recent training-mode forward; evaluation-mode
-forwards never touch gradients. Shapes are (batch, width) throughout.
+Every layer implements forward/backward on float64 arrays. A training-mode
+forward caches what its backward needs, and backward consumes that cache: a
+second backward without a new training-mode forward raises RuntimeError.
+Backward sets the parameter gradients, and ``gradients()`` hands them to the
+SGD step and drops them, so they live only from backward to the step.
+Evaluation-mode forwards cache nothing. Outside a step a layer holds only its
+state arrays. Shapes are (batch, width) throughout.
 """
 from __future__ import annotations
 
@@ -18,8 +22,8 @@ class Linear:
         limit = np.sqrt(6.0 / in_width)
         self.W = rng.uniform(-limit, limit, size=(in_width, out_width))
         self.b = np.zeros(out_width)
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
+        self.gW: np.ndarray | None = None
+        self.gb: np.ndarray | None = None
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
@@ -35,9 +39,10 @@ class Linear:
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Store the parameter gradients; return dx, or None when not input_grad."""
-        if self._x is None:
+        x, self._x = self._x, None
+        if x is None:
             raise RuntimeError("Linear.backward: no training-mode forward cached")
-        self.gW = self._x.T @ grad
+        self.gW = x.T @ grad
         self.gb = grad.sum(axis=0)
         return grad @ self.W.T if input_grad else None
 
@@ -45,7 +50,8 @@ class Linear:
         return [self.W, self.b]
 
     def gradients(self):
-        return [self.gW, self.gb]
+        grads, self.gW, self.gb = [self.gW, self.gb], None, None
+        return grads
 
     def state_arrays(self):
         return [self.W, self.b]
@@ -66,8 +72,8 @@ class BatchNorm:
         self.running_var = np.ones(width)
         self.momentum = momentum
         self.eps = eps
-        self.g_gamma = np.zeros(width)
-        self.g_beta = np.zeros(width)
+        self.g_gamma: np.ndarray | None = None
+        self.g_beta: np.ndarray | None = None
         self._xhat: np.ndarray | None = None
         self._inv_std: np.ndarray | None = None
 
@@ -93,15 +99,13 @@ class BatchNorm:
             out = x - self.running_mean
             out *= inv_std
             out *= self.gamma
-            self._xhat = None
-            self._inv_std = None
         out += self.beta
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._xhat is None:
+        xhat, inv_std, self._xhat, self._inv_std = self._xhat, self._inv_std, None, None
+        if xhat is None:
             raise RuntimeError("BatchNorm.backward: no training-mode forward cached")
-        xhat, inv_std = self._xhat, self._inv_std
         n = grad.shape[0]
         tmp = grad * xhat
         self.g_gamma = tmp.sum(axis=0)
@@ -123,7 +127,8 @@ class BatchNorm:
         return [self.gamma, self.beta]
 
     def gradients(self):
-        return [self.g_gamma, self.g_beta]
+        grads, self.g_gamma, self.g_beta = [self.g_gamma, self.g_beta], None, None
+        return grads
 
     def state_arrays(self):
         # running stats ride along so eval behaviour survives persistence
@@ -140,9 +145,10 @@ class ReLU:
         return np.maximum(x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise RuntimeError("ReLU.backward: no training-mode forward cached")
-        return grad * self._mask
+        return grad * mask
 
     def parameters(self):
         return []
@@ -175,9 +181,10 @@ class Sigmoid:
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._out is None:
+        out, self._out = self._out, None
+        if out is None:
             raise RuntimeError("Sigmoid.backward: no training-mode forward cached")
-        return grad * self._out * (1.0 - self._out)
+        return grad * out * (1.0 - out)
 
     def parameters(self):
         return []
@@ -206,9 +213,9 @@ class L2Normalize:
         return x / r_safe
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None:
+        x, r, self._x, self._r = self._x, self._r, None, None
+        if x is None:
             raise RuntimeError("L2Normalize.backward: no training-mode forward cached")
-        x, r = self._x, self._r
         dot = np.einsum("ij,ij->i", x, grad)[:, None]
         return grad / r - x * dot / r**3
 

@@ -13,7 +13,8 @@ deflate, and compressing them cost most of a save. Archives written with
 deflated members, as earlier releases did, still load. Loading validates the
 format tag, the version, every manifest key it reads, and every blob's dtype
 and byte length, so truncation and foreign files fail with a diagnostic
-instead of garbage predictions.
+instead of garbage predictions. The manifest must be a JSON object, each pair
+model's ``present`` flag a boolean, and ``n_raw_features`` a positive integer.
 """
 from __future__ import annotations
 
@@ -259,6 +260,10 @@ def load(path) -> Pipeline:
             raise ValueError("pipeline container has no manifest.json") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"pipeline manifest is corrupt: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise ValueError(
+                f"pipeline manifest is not a JSON object (found {type(manifest).__name__})"
+            )
         if manifest.get("format") != FORMAT_TAG:
             raise ValueError(
                 f"not a pipeline container (format tag {manifest.get('format')!r})"
@@ -274,14 +279,29 @@ def load(path) -> Pipeline:
             raise ValueError(f"pipeline manifest is missing key {exc.args[0]!r}") from None
 
 
+def _checked(value, ok: bool, key: str, expected: str):
+    """value, once ok confirms it is what the manifest key must hold."""
+    if not ok:
+        raise ValueError(f"pipeline manifest key {key} must be {expected}, found {value!r}")
+    return value
+
+
+def _present(meta: dict, k: int) -> bool:
+    present = meta["present"]
+    return _checked(present, isinstance(present, bool), f"models_1_to_4[{k - 1}].present",
+                    "true or false")
+
+
 def _from_manifest(manifest: dict, arrays: dict[str, np.ndarray]) -> Pipeline:
     kind = manifest["kind"]
     if kind not in _MODEL_KEYS:
         raise ValueError(f"unknown pipeline kind {kind!r} in manifest")
     models_1_to_4 = tuple(
-        _load_model(meta, arrays, f"model{k}") if meta["present"] else None
+        _load_model(meta, arrays, f"model{k}") if _present(meta, k) else None
         for k, meta in enumerate(manifest["models_1_to_4"] if kind == "guided" else (), start=1)
     )
+    n_raw = manifest["n_raw_features"]
+    _checked(n_raw, type(n_raw) is int and n_raw > 0, "n_raw_features", "a positive integer")
     key, prefix = _MODEL_KEYS[kind]
     stage = Stage(
         models_1_to_4=models_1_to_4,
@@ -295,7 +315,7 @@ def _from_manifest(manifest: dict, arrays: dict[str, np.ndarray]) -> Pipeline:
             th_p=float(manifest["thresholds"]["th_p"]),
         ),
         stage=stage,
-        n_raw_features=int(manifest["n_raw_features"]),
+        n_raw_features=n_raw,
         feature_selection=arrays["feature_selection"] if manifest["feature_selection"] else None,
         metadata=manifest.get("metadata", {}),
     )

@@ -40,3 +40,13 @@ def relative_error(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
     return float(np.max(np.abs(a - n) / denom))
+
+
+def stray_arrays(layers):
+    """Arrays the layers hold beyond their state arrays, as 'Class.attribute'."""
+    return [
+        f"{type(layer).__name__}.{name}"
+        for layer in layers
+        for name, value in vars(layer).items()
+        if isinstance(value, np.ndarray) and not any(value is a for a in layer.state_arrays())
+    ]

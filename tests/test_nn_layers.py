@@ -1,7 +1,7 @@
 """Layer-level checks: value oracles and finite-difference gradients."""
 import numpy as np
 import pytest
-from conftest import numeric_gradient, relative_error
+from conftest import numeric_gradient, relative_error, stray_arrays
 
 from guidedboost.nn.layers import BatchNorm, L2Normalize, Linear, ReLU, Sigmoid
 
@@ -46,6 +46,7 @@ def test_linear_backward_can_skip_the_input_gradient():
     layer.forward(x, True)
     gx = layer.backward(R)
     gW, gb = layer.gW, layer.gb
+    layer.forward(x, True)
     assert layer.backward(R, input_grad=False) is None
     assert np.array_equal(layer.gW, gW) and np.array_equal(layer.gb, gb)
     assert np.array_equal(gx, R @ layer.W.T)
@@ -56,6 +57,23 @@ def test_linear_backward_requires_training_forward():
     layer.forward(np.zeros((2, 2)), False)
     with pytest.raises(RuntimeError):
         layer.backward(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Linear(3, 3, np.random.default_rng(0)), lambda: BatchNorm(3),
+    ReLU, Sigmoid, L2Normalize,
+], ids=["Linear", "BatchNorm", "ReLU", "Sigmoid", "L2Normalize"])
+def test_backward_consumes_the_forward_cache(make):
+    layer = make()
+    x = np.random.default_rng(9).normal(size=(4, 3))
+    layer.forward(x, True)
+    layer.backward(np.ones_like(x))
+    with pytest.raises(RuntimeError, match="no training-mode forward cached"):
+        layer.backward(np.ones_like(x))
+    # the step takes the gradients once; after it the layer holds its state only
+    assert all(g is not None for g in layer.gradients())
+    assert all(g is None for g in layer.gradients())
+    assert stray_arrays([layer]) == []
 
 
 def test_batchnorm_training_statistics():

@@ -327,16 +327,25 @@ def test_corrupt_manifest_json(tmp_path):
 
 
 def _without(key):
-    return lambda m: m.pop(key)
+    def mutate(m):
+        m.pop(key)
+        return m
+    return mutate
 
 
 def _set(value, *path):
     def mutate(m):
         *parents, key = path
+        node = m
         for p in parents:
-            m = m[p]
-        m[key] = value
+            node = node[p]
+        node[key] = value
+        return m
     return mutate
+
+
+_PRESENT = "key models_1_to_4[0].present must be true or false"
+_N_RAW = "key n_raw_features must be a positive integer"
 
 
 @pytest.mark.parametrize("kind, mutate, message", [
@@ -348,14 +357,23 @@ def _set(value, *path):
      "blob aux_a0 has unsupported dtype '|S8'"),
     ("svm", _set(0.1, "base", "score_range", "p_min"), "score_range p_min 0.1"),
     ("svm", _set(0.9, "base", "score_range", "p_max"), "score_range p_max 0.9"),
-], ids=["auxiliary", "arrays", "kind", "thresholds", "dtype", "p_min", "p_max"])
+    ("logistic", lambda m: [1, 2], "manifest is not a JSON object (found list)"),
+    ("logistic", _set(None, "models_1_to_4", 0, "present"), f"{_PRESENT}, found None"),
+    ("logistic", _set([], "models_1_to_4", 0, "present"), f"{_PRESENT}, found []"),
+    ("logistic", _set({}, "models_1_to_4", 0, "present"), f"{_PRESENT}, found {{}}"),
+    ("logistic", _set(0, "models_1_to_4", 0, "present"), f"{_PRESENT}, found 0"),
+    ("logistic", _set(-1, "n_raw_features"), f"{_N_RAW}, found -1"),
+    ("logistic", _set(0, "n_raw_features"), f"{_N_RAW}, found 0"),
+    ("logistic", _set(0.5, "n_raw_features"), f"{_N_RAW}, found 0.5"),
+    ("logistic", _set(True, "n_raw_features"), f"{_N_RAW}, found True"),
+], ids=["auxiliary", "arrays", "kind", "thresholds", "dtype", "p_min", "p_max", "list",
+        "present-null", "present-list", "present-object", "present-0",
+        "n_raw-negative", "n_raw-0", "n_raw-fraction", "n_raw-bool"])
 def test_load_names_what_is_wrong_with_the_manifest(kind, mutate, message, tmp_path):
     def rewrite(name, b):
         if name != "manifest.json":
             return b
-        m = json.loads(b)
-        mutate(m)
-        return json.dumps(m).encode()
+        return json.dumps(mutate(json.loads(b))).encode()
 
     out = _rewrite(_saved(tmp_path, kind), tmp_path / "edited.zip", rewrite)
     with pytest.raises(ValueError, match=re.escape(message)):

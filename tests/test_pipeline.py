@@ -1,10 +1,11 @@
 """Retraining stages and end-to-end routing."""
 import logging
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_blobs
+from conftest import make_blobs, stray_arrays
 
 from guidedboost.classifiers.linear import train_logistic
 from guidedboost.classifiers.adapters import IdentityAdapter
@@ -24,7 +25,8 @@ from guidedboost.nn.network import (
     projection_spec,
 )
 from guidedboost import pipeline
-from guidedboost.nn.training import TrainConfig
+from guidedboost.nn.training import TrainConfig, train_auxiliary, train_model
+from guidedboost.persistence import load
 from guidedboost.pipeline import (
     MODEL_PAIRS,
     PREDICT_BLOCK_ROWS,
@@ -459,3 +461,80 @@ def test_training_memory_does_not_grow_with_rows(monkeypatch):
     small, large = measure(4_000), measure(40_000)
     assert large[0] <= 2 * small[0]  # concatenation
     assert large[1] <= 2 * small[1]  # head's training embeddings
+
+
+# ------------------------------------------------ what a network keeps
+
+def _layers(*networks):
+    """Every layer of the given Models and MLPs; None entries are skipped pairs."""
+    out = []
+    for net in networks:
+        if isinstance(net, EncoderProjectionModel):
+            out += net.encoder.layers + net.projection.layers + [net.normalize]
+        elif net is not None:
+            out += net.layers
+    return out
+
+
+def _stage_layers(stage):
+    return _layers(*stage.models_1_to_4, stage.model, stage.auxiliary)
+
+
+def _trained_model():
+    data, _ = _difficult_setup(seed=2)
+    return _layers(train_model(data, _empty_like(data), CFG.train, CFG.encoder, CFG.projection,
+                               seed=1))
+
+
+def _trained_head():
+    data, _ = _difficult_setup(seed=3)
+    return _layers(train_auxiliary(data.values, data.labels, data.values[:0], data.labels[:0],
+                                   CFG.train, seed=2))
+
+
+def _guided_stage():
+    data, report = _difficult_setup(seed=4)
+    return _stage_layers(guided_fit(data, report, _empty_like(data), CFG, seed=1))
+
+
+def _classic_stage():
+    data, _ = _difficult_setup(seed=5)
+    return _stage_layers(classic_fit(data, _empty_like(data), CFG, seed=1))
+
+
+def _loaded_stages():
+    archives = Path(__file__).parent / "data"
+    return [layer for kind in ("guided", "classic", "forest", "knn")
+            for layer in _stage_layers(load(archives / f"archive_{kind}_v1.zip").stage)]
+
+
+@pytest.mark.parametrize(
+    "layers", [_trained_model, _trained_head, _guided_stage, _classic_stage, _loaded_stages],
+    ids=["train_model", "train_auxiliary", "guided_fit", "classic_fit", "load"],
+)
+def test_fitted_and_loaded_networks_hold_only_their_state_arrays(layers):
+    found = layers()
+    assert {"Linear", "BatchNorm", "ReLU"} <= {type(layer).__name__ for layer in found}
+    assert stray_arrays(found) == []
+
+
+def test_a_fitted_stage_retains_nothing_that_grows_with_rows():
+    """Traced bytes a classic_fit stage keeps beyond its state arrays, at 400
+    and at 4,000 difficult training rows."""
+
+    def retained(n):
+        train, val = _rows(n, 0), _rows(n // 10, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stage = classic_fit(train, val, CFG, seed=0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        state = stage.model.state_arrays() + stage.auxiliary.state_arrays()
+        return held - sum(a.nbytes for a in state)
+
+    retained(40)  # first calls allocate module-level caches once
+    small, large = retained(400), retained(4_000)
+    # one last batch of caches at 4,000 rows is about 0.5 MB here
+    assert large <= small + 16_384
