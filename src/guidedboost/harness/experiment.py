@@ -251,8 +251,6 @@ class ExperimentResult:
     thresholds: ThresholdPair
     rows: list[MetricsRow]
     curves: dict[str, list[CurvePoint]]
-    assignments: dict[str, SplitAssignment]
-    reports: dict[str, PredictionReport]
     guided: Pipeline | None
     classic: Pipeline | None
     skipped: str | None
@@ -386,8 +384,6 @@ def run_experiment(
         thresholds=prep.thresholds,
         rows=rows,
         curves=prep.curves,
-        assignments=prep.assignments,
-        reports=prep.reports,
         guided=pipelines["guided"],
         classic=pipelines["classic"],
         skipped=skipped,

@@ -1,4 +1,4 @@
-"""MLP assembly: specs, the encoder+projection pair, and the auxiliary head's labels."""
+"""MLP assembly: specs, the encoder+projection Model, and the auxiliary head's labels."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -82,46 +82,50 @@ class TrainState:
     best_metric: float = float("nan")
 
 
+def _layers(input_width: int, spec: MlpSpec, seed: list[int]) -> list:
+    """The layers of spec; layer i's Linear draws from ``seed + [i]``."""
+    if input_width < 1:
+        raise ValueError("MLP: input width must be positive")
+    layers = []
+    prev = input_width
+    for i, width in enumerate(spec.layer_widths):
+        layers.append(Linear(prev, width, np.random.default_rng(seed + [i])))
+        if spec.normalize[i] == "batch_norm":
+            layers.append(BatchNorm(width))
+        if spec.activation[i] == "relu":
+            layers.append(ReLU())
+        elif spec.activation[i] == "sigmoid":
+            layers.append(Sigmoid())
+        prev = width
+    return layers
+
+
+def _forward(layers: list, x: np.ndarray, train: bool) -> np.ndarray:
+    out = np.asarray(x, dtype=np.float64)
+    if out.ndim != 2:
+        raise ValueError("MLP.forward: expected a 2-D batch")
+    for layer in layers:
+        out = layer.forward(out, train)
+    return out
+
+
 class MLP:
     """Sequential network built from an MlpSpec.
 
     Layer seeds derive from (seed sequence, layer index) so identical specs
     and seeds rebuild identical parameters regardless of surrounding code.
-    ``train_state`` records the last fit when the network is trained on its
-    own, as the auxiliary head is.
+    ``train_state`` records the last fit.
     """
 
     def __init__(self, input_width: int, spec: MlpSpec, seed):
-        if input_width < 1:
-            raise ValueError("MLP: input width must be positive")
         self.input_width = input_width
         self.spec = spec
         self.seed = _seed_list(seed)
         self.train_state = TrainState()
-        self.layers = []
-        prev = input_width
-        for i, width in enumerate(spec.layer_widths):
-            rng = np.random.default_rng(self.seed + [i])
-            self.layers.append(Linear(prev, width, rng))
-            if spec.normalize[i] == "batch_norm":
-                self.layers.append(BatchNorm(width))
-            if spec.activation[i] == "relu":
-                self.layers.append(ReLU())
-            elif spec.activation[i] == "sigmoid":
-                self.layers.append(Sigmoid())
-            prev = width
-
-    @property
-    def out_width(self) -> int:
-        return self.spec.out_width
+        self.layers = _layers(input_width, spec, self.seed)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        out = np.asarray(x, dtype=np.float64)
-        if out.ndim != 2:
-            raise ValueError("MLP.forward: expected a 2-D batch")
-        for layer in self.layers:
-            out = layer.forward(out, train)
-        return out
+        return _forward(self.layers, x, train)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate grad; the first Linear skips dx unless input_grad."""
@@ -162,56 +166,33 @@ class MLP:
         return [a.copy() for a in self.state_arrays()]
 
 
-class EncoderProjectionModel:
-    """Encoder + projection network pair ("Model").
+class EncoderProjectionModel(MLP):
+    """A "Model": the encoder's layers (seeded ``seed + [0]``), then the
+    projection's (``seed + [1]``), then an L2 normalisation.
 
-    The projection exists only to feed the contrastive loss; embed() returns
-    the final encoder layer in eval mode, which is what downstream stages
-    consume.
+    ``forward`` returns the unit-norm projection, which exists only to feed
+    the contrastive loss; ``embed`` runs the encoder's layers in eval mode,
+    which is what downstream stages consume.
     """
 
     def __init__(self, input_width: int, enc_spec: MlpSpec, proj_spec: MlpSpec, seed):
-        base = _seed_list(seed)
-        self.encoder = MLP(input_width, enc_spec, base + [0])
-        self.projection = MLP(enc_spec.out_width, proj_spec, base + [1])
-        self.normalize = L2Normalize()
+        self.input_width = input_width
+        self.encoder_spec = enc_spec
+        self.projection_spec = proj_spec
+        self.seed = _seed_list(seed)
         self.train_state = TrainState()
-
-    @property
-    def input_width(self) -> int:
-        return self.encoder.input_width
+        encoder = _layers(input_width, enc_spec, self.seed + [0])
+        self.n_encoder_layers = len(encoder)
+        self.layers = (
+            encoder + _layers(enc_spec.out_width, proj_spec, self.seed + [1]) + [L2Normalize()]
+        )
 
     @property
     def embedding_width(self) -> int:
-        return self.encoder.out_width
-
-    def forward(self, x: np.ndarray, train: bool = False):
-        enc = self.encoder.forward(x, train)
-        proj = self.normalize.forward(self.projection.forward(enc, train), train)
-        return enc, proj
-
-    def backward(self, grad_proj: np.ndarray, input_grad: bool = True):
-        g = self.normalize.backward(grad_proj)
-        g = self.projection.backward(g)
-        return self.encoder.backward(g, input_grad)
-
-    def sgd_step(self, lr: float):
-        self.encoder.sgd_step(lr)
-        self.projection.sgd_step(lr)
+        return self.encoder_spec.out_width
 
     def embed(self, X: np.ndarray) -> np.ndarray:
-        return self.encoder.forward(np.asarray(X, dtype=np.float64), train=False)
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return self.encoder.state_arrays() + self.projection.state_arrays()
-
-    def load_state_arrays(self, arrays: list[np.ndarray]):
-        n_enc = len(self.encoder.state_arrays())
-        self.encoder.load_state_arrays(arrays[:n_enc])
-        self.projection.load_state_arrays(arrays[n_enc:])
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [a.copy() for a in self.state_arrays()]
+        return _forward(self.layers[: self.n_encoder_layers], X, train=False)
 
 
 def head_labels(head: MLP, X: np.ndarray) -> np.ndarray:

@@ -137,13 +137,13 @@ def train_model(
     monitor = val if val.n_samples >= 2 else data
 
     def step(batch, epoch):
-        _, proj = model.forward(data.values[batch], train=True)
+        proj = model.forward(data.values[batch], train=True)
         _, grad = supcon_loss(proj, data.labels[batch], cfg.temperature)
         model.backward(grad, input_grad=False)
         model.sgd_step(cfg.learning_rate)
 
     def score(epoch):
-        _, proj_val = model.forward(monitor.values, train=False)
+        proj_val = model.forward(monitor.values, train=False)
         val_loss, _ = supcon_loss(proj_val, monitor.labels, cfg.temperature)
         if not np.isfinite(val_loss):
             raise FloatingPointError(f"train_model: monitored loss is {val_loss} at epoch {epoch}")

@@ -10,15 +10,17 @@ its six arrays, as ``classifiers.forest`` lays them out; the base's ``type``
 is read off its model. Parameters are ``<f8``, integer
 tables ``<i8``. Members are stored uncompressed: float64 weights barely
 deflate, and compressing them cost most of a save. Archives written with
-deflated members, as earlier releases did, still load. Loading validates the
-format tag, the version, every manifest key it reads, and every blob's dtype
-and byte length, so truncation and foreign files fail with a diagnostic
-instead of garbage predictions. The manifest must be a JSON object, each pair
-model's ``present`` flag a boolean, and ``n_raw_features`` a positive integer.
+deflated members, as earlier releases did, still load. Every member carries
+one fixed timestamp, so a pipeline always saves to the same bytes. Loading
+validates the format tag, the version, every blob's dtype and byte length, and
+the type of every other manifest value (``_KINDS``, read through
+``_Node.get``, which names the key), so truncation, foreign files and hand
+edits fail with a diagnostic instead of garbage predictions.
 """
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import fields
 
@@ -42,6 +44,58 @@ _MODEL_KEYS = {"guided": ("model_5", "model5"), "classic": ("model", "model")}
 # the svm score map's probability range: archives record it, and loading
 # rejects any other range
 _P_RANGE = {"p_min": 0.0, "p_max": 1.0}
+# every member's timestamp: the earliest a zip header can hold
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+# what a manifest value of each kind must be, as (test, description); JSON
+# gives exact Python types, and a bool is neither a number nor a count here.
+# json.loads also reads NaN and Infinity, which no stored number may be.
+_KINDS = {
+    "number": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    "count": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "positive": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "flag": (lambda v: type(v) is bool, "true or false"),
+    "text": (lambda v: type(v) is str, "a string"),
+    "texts": (lambda v: type(v) is list and all(type(e) is str for e in v), "a list of strings"),
+    "counts": (
+        lambda v: type(v) is list and all(type(e) is int and e >= 0 for e in v),
+        "a list of non-negative integers",
+    ),
+    "seed": (lambda v: type(v) is list and all(type(e) is int for e in v), "a list of integers"),
+    "object": (lambda v: type(v) is dict, "an object"),
+    "four": (
+        lambda v: type(v) is list and len(v) == 4 and all(type(e) is dict for e in v),
+        "a list of 4 objects",
+    ),
+}
+
+
+class _Node:
+    """A manifest object with its key path, such as ``model_5.encoder``."""
+
+    def __init__(self, obj: dict, path: str = ""):
+        self.obj = obj
+        self.path = path
+
+    def get(self, name: str, kind: str, default: _Node | None = None):
+        """The value under name, checked to be of kind; errors name the key.
+
+        An "object" comes back as a _Node, and each entry of a "four" list too.
+        A missing name is an error unless a default is given.
+        """
+        key = f"{self.path}.{name}" if self.path else name
+        if name not in self.obj:
+            if default is None:
+                raise ValueError(f"pipeline manifest is missing key {key!r}")
+            return default
+        value = self.obj[name]
+        ok, expected = _KINDS[kind]
+        if not ok(value):
+            raise ValueError(f"pipeline manifest key {key} must be {expected}, found {value!r}")
+        if kind == "object":
+            return _Node(value, key)
+        if kind == "four":
+            return [_Node(entry, f"{key}[{i}]") for i, entry in enumerate(value)]
+        return value
 
 
 class _ArrayStore:
@@ -71,59 +125,65 @@ def _spec_to_json(spec: MlpSpec) -> dict:
     }
 
 
-def _spec_from_json(d: dict) -> MlpSpec:
+def _spec_from_json(d: _Node) -> MlpSpec:
     return MlpSpec(
-        layer_widths=tuple(d["layer_widths"]),
-        normalize=tuple(d["normalize"]),
-        activation=tuple(d["activation"]),
+        layer_widths=tuple(d.get("layer_widths", "counts")),
+        normalize=tuple(d.get("normalize", "texts")),
+        activation=tuple(d.get("activation", "texts")),
     )
+
+
+def _store_arrays(store: _ArrayStore, prefix: str, net: MLP) -> int:
+    """Store net's state arrays as the blobs ``{prefix}_a{i}``; returns their count."""
+    arrays = net.state_arrays()
+    for i, a in enumerate(arrays):
+        store.add(f"{prefix}_a{i}", a)
+    return len(arrays)
+
+
+def _load_arrays(net: MLP, meta: _Node, arrays: dict[str, np.ndarray], prefix: str) -> MLP:
+    """net, holding the ``n_arrays`` blobs ``{prefix}_a{i}`` that meta counts."""
+    net.load_state_arrays([arrays[f"{prefix}_a{i}"] for i in range(meta.get("n_arrays", "count"))])
+    return net
 
 
 def _store_model(store: _ArrayStore, prefix: str, model: EncoderProjectionModel) -> dict:
-    arrays = model.state_arrays()
-    for i, a in enumerate(arrays):
-        store.add(f"{prefix}_a{i}", a)
     return {
         "present": True,
         "input_width": model.input_width,
-        "seed": model.encoder.seed[:-1],  # the [0]/[1] suffix is re-added on rebuild
-        "encoder": _spec_to_json(model.encoder.spec),
-        "projection": _spec_to_json(model.projection.spec),
-        "n_arrays": len(arrays),
+        "seed": model.seed,
+        "encoder": _spec_to_json(model.encoder_spec),
+        "projection": _spec_to_json(model.projection_spec),
+        "n_arrays": _store_arrays(store, prefix, model),
     }
 
 
-def _load_model(meta: dict, arrays: dict[str, np.ndarray], prefix: str) -> EncoderProjectionModel:
+def _load_model(meta: _Node, arrays: dict[str, np.ndarray], prefix: str) -> EncoderProjectionModel:
     model = EncoderProjectionModel(
-        int(meta["input_width"]),
-        _spec_from_json(meta["encoder"]),
-        _spec_from_json(meta["projection"]),
-        [int(s) for s in meta["seed"]],
+        meta.get("input_width", "count"),
+        _spec_from_json(meta.get("encoder", "object")),
+        _spec_from_json(meta.get("projection", "object")),
+        meta.get("seed", "seed"),
     )
-    model.load_state_arrays([arrays[f"{prefix}_a{i}"] for i in range(int(meta["n_arrays"]))])
-    return model
+    return _load_arrays(model, meta, arrays, prefix)
 
 
 def _store_auxiliary(store: _ArrayStore, head: MLP) -> dict:
-    arrays = head.state_arrays()
-    for i, a in enumerate(arrays):
-        store.add(f"aux_a{i}", a)
     return {
         "input_width": head.input_width,
         "seed": head.seed,
         "spec": _spec_to_json(head.spec),
-        "n_arrays": len(arrays),
+        "n_arrays": _store_arrays(store, "aux", head),
     }
 
 
-def _load_auxiliary(meta: dict, arrays: dict[str, np.ndarray]) -> MLP:
+def _load_auxiliary(meta: _Node, arrays: dict[str, np.ndarray]) -> MLP:
     head = MLP(
-        int(meta["input_width"]),
-        _spec_from_json(meta["spec"]),
-        [int(s) for s in meta["seed"]],
+        meta.get("input_width", "count"),
+        _spec_from_json(meta.get("spec", "object")),
+        meta.get("seed", "seed"),
     )
-    head.load_state_arrays([arrays[f"aux_a{i}"] for i in range(int(meta["n_arrays"]))])
-    return head
+    return _load_arrays(head, meta, arrays, "aux")
 
 
 def _store_forest(store: _ArrayStore, prefix: str, forest: ForestModel):
@@ -160,23 +220,25 @@ def _store_base(store: _ArrayStore, base) -> dict:
     raise ValueError(f"cannot serialize base adapter of type {type(base).__name__}")
 
 
-def _load_base(meta: dict, arrays: dict[str, np.ndarray]):
-    kind = meta["type"]
+def _load_base(meta: _Node, arrays: dict[str, np.ndarray]):
+    kind = meta.get("type", "text")
     if kind == "logistic":
         return IdentityAdapter(
-            LinearModel(weights=arrays["base_weights"], bias=float(meta["bias"]), kind="logistic")
+            LinearModel(weights=arrays["base_weights"], bias=float(meta.get("bias", "number")),
+                        kind="logistic")
         )
     if kind == "svm":
-        r = meta["score_range"]
+        r = meta.get("score_range", "object")
         for key, value in _P_RANGE.items():
-            if float(r[key]) != value:
+            if r.get(key, "number") != value:
                 raise ValueError(
-                    f"unsupported score_range {key} {r[key]!r} in manifest; "
+                    f"unsupported score_range {key} {r.obj[key]!r} in manifest; "
                     f"this build maps svm scores onto [0, 1]"
                 )
         return SvmAdapter(
-            LinearModel(weights=arrays["base_weights"], bias=float(meta["bias"]), kind="svm"),
-            ScoreRange(f_min=float(r["f_min"]), f_max=float(r["f_max"])),
+            LinearModel(weights=arrays["base_weights"], bias=float(meta.get("bias", "number")),
+                        kind="svm"),
+            ScoreRange(float(r.get("f_min", "number")), float(r.get("f_max", "number"))),
         )
     if kind == "forest":
         return IdentityAdapter(_load_forest(arrays, "base_forest"))
@@ -219,31 +281,32 @@ def save(pipeline: Pipeline, path) -> None:
     manifest["auxiliary"] = _store_auxiliary(store, stage.auxiliary)
     manifest["arrays"] = store.entries
 
+    members = {"manifest.json": json.dumps(manifest, indent=2)}
+    members.update((entry["file"], store.blobs[name]) for name, entry in store.entries.items())
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2))
-        for name, entry in store.entries.items():
-            zf.writestr(entry["file"], store.blobs[name])
+        for name, payload in members.items():
+            zf.writestr(zipfile.ZipInfo(name, date_time=_ZIP_DATE), payload)
 
 
-def _read_arrays(zf: zipfile.ZipFile, table: dict) -> dict[str, np.ndarray]:
+def _read_arrays(zf: zipfile.ZipFile, table: _Node) -> dict[str, np.ndarray]:
     out = {}
-    for name, entry in table.items():
+    for name in table.obj:
+        entry = table.get(name, "object")
+        file, dtype = entry.get("file", "text"), entry.get("dtype", "text")
+        shape = tuple(entry.get("shape", "counts"))
         try:
-            raw = zf.read(entry["file"])
+            raw = zf.read(file)
         except KeyError:
-            raise ValueError(f"pipeline container is missing blob {entry['file']}") from None
-        if entry["dtype"] not in (_FLOAT, _INT):
-            raise ValueError(
-                f"pipeline container blob {name} has unsupported dtype {entry['dtype']!r}"
-            )
-        shape = tuple(int(s) for s in entry["shape"])
+            raise ValueError(f"pipeline container is missing blob {file}") from None
+        if dtype not in (_FLOAT, _INT):
+            raise ValueError(f"pipeline container blob {name} has unsupported dtype {dtype!r}")
         expected = int(np.prod(shape, dtype=np.int64)) * 8
         if len(raw) != expected:
             raise ValueError(
                 f"pipeline container blob {name} is corrupt: "
                 f"expected {expected} bytes, found {len(raw)}"
             )
-        out[name] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(shape).copy()
+        out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return out
 
 
@@ -268,54 +331,47 @@ def load(path) -> Pipeline:
             raise ValueError(
                 f"not a pipeline container (format tag {manifest.get('format')!r})"
             )
-        if manifest.get("version") != FORMAT_VERSION:
+        version = manifest.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:  # true == 1 in Python
             raise ValueError(
-                f"unsupported pipeline container version {manifest.get('version')!r}; "
+                f"unsupported pipeline container version {version!r}; "
                 f"this build reads version {FORMAT_VERSION}"
             )
+        manifest = _Node(manifest)
         try:
-            return _from_manifest(manifest, _read_arrays(zf, manifest["arrays"]))
-        except KeyError as exc:
+            return _from_manifest(manifest, _read_arrays(zf, manifest.get("arrays", "object")))
+        except KeyError as exc:  # a blob the manifest's arrays table does not list
             raise ValueError(f"pipeline manifest is missing key {exc.args[0]!r}") from None
 
 
-def _checked(value, ok: bool, key: str, expected: str):
-    """value, once ok confirms it is what the manifest key must hold."""
-    if not ok:
-        raise ValueError(f"pipeline manifest key {key} must be {expected}, found {value!r}")
-    return value
-
-
-def _present(meta: dict, k: int) -> bool:
-    present = meta["present"]
-    return _checked(present, isinstance(present, bool), f"models_1_to_4[{k - 1}].present",
-                    "true or false")
-
-
-def _from_manifest(manifest: dict, arrays: dict[str, np.ndarray]) -> Pipeline:
-    kind = manifest["kind"]
+def _from_manifest(manifest: _Node, arrays: dict[str, np.ndarray]) -> Pipeline:
+    kind = manifest.get("kind", "text")
     if kind not in _MODEL_KEYS:
         raise ValueError(f"unknown pipeline kind {kind!r} in manifest")
     models_1_to_4 = tuple(
-        _load_model(meta, arrays, f"model{k}") if _present(meta, k) else None
-        for k, meta in enumerate(manifest["models_1_to_4"] if kind == "guided" else (), start=1)
+        _load_model(meta, arrays, f"model{k}") if meta.get("present", "flag") else None
+        for k, meta in enumerate(
+            manifest.get("models_1_to_4", "four") if kind == "guided" else (), start=1
+        )
     )
-    n_raw = manifest["n_raw_features"]
-    _checked(n_raw, type(n_raw) is int and n_raw > 0, "n_raw_features", "a positive integer")
+    n_raw = manifest.get("n_raw_features", "positive")
     key, prefix = _MODEL_KEYS[kind]
     stage = Stage(
         models_1_to_4=models_1_to_4,
-        model=_load_model(manifest[key], arrays, prefix),
-        auxiliary=_load_auxiliary(manifest["auxiliary"], arrays),
+        model=_load_model(manifest.get(key, "object"), arrays, prefix),
+        auxiliary=_load_auxiliary(manifest.get("auxiliary", "object"), arrays),
     )
+    thresholds = manifest.get("thresholds", "object")
     return Pipeline(
-        base=_load_base(manifest["base"], arrays),
+        base=_load_base(manifest.get("base", "object"), arrays),
         thresholds=ThresholdPair(
-            th_n=float(manifest["thresholds"]["th_n"]),
-            th_p=float(manifest["thresholds"]["th_p"]),
+            th_n=float(thresholds.get("th_n", "number")),
+            th_p=float(thresholds.get("th_p", "number")),
         ),
         stage=stage,
         n_raw_features=n_raw,
-        feature_selection=arrays["feature_selection"] if manifest["feature_selection"] else None,
-        metadata=manifest.get("metadata", {}),
+        feature_selection=(
+            arrays["feature_selection"] if manifest.get("feature_selection", "flag") else None
+        ),
+        metadata=manifest.get("metadata", "object", _Node({})).obj,
     )

@@ -52,43 +52,29 @@ def tolerated_counts(X: float, Y: float, fp_v: int, fn_v: int) -> ToleratedCount
     )
 
 
-def _extreme_positive(p: np.ndarray, is_fp: np.ndarray, budget: int) -> float:
-    """Smallest cut t with at most `budget` FPs at probability >= t.
+def _extreme(p: np.ndarray, is_err: np.ndarray, budget: int, side: int) -> float:
+    """The cut on one side of 0.5 that leaves at most `budget` errors easy.
 
-    Candidates are the distinct positive-side probabilities plus the 0.5
-    floor. When even the highest probability is over budget (an FP tie block
-    at the top) the threshold moves just past the top so the easy side is
-    empty; a cut above 1.0 is clamped back, which only matters for errors
-    sitting at probability exactly 1.0 (they can never be quarantined).
+    Side +1: the smallest t with at most `budget` errors at p >= t. Side -1:
+    the largest t with at most `budget` errors at p <= t, found as side +1 on
+    -p (negation is exact). Candidates are the distinct probabilities plus the
+    0.5 floor. When even the most extreme probability is over budget, the cut
+    moves just past it and the easy side is empty; the cut is clamped to
+    [0, 1], so errors at exactly 0.0 or 1.0 can never be quarantined.
     """
-    if p.size == 0 or int(is_fp.sum()) <= budget:
+    if p.size == 0 or int(is_err.sum()) <= budget:
         return 0.5
-    order = np.argsort(-p, kind="stable")
-    ps = p[order]
-    cum = np.cumsum(is_fp[order])
-    run_end = np.flatnonzero(np.r_[ps[1:] != ps[:-1], True])
-    counts = cum[run_end]  # FPs with p >= each distinct value, values descending
-    values = ps[run_end]
+    order = np.argsort(-side * p, kind="stable")
+    qs = side * p[order]
+    cum = np.cumsum(is_err[order])
+    run_end = np.flatnonzero(np.r_[qs[1:] != qs[:-1], True])
+    counts = cum[run_end]  # errors with side * p >= each distinct value, descending
+    values = qs[run_end]
     ok = np.flatnonzero(counts <= budget)
     if ok.size == 0:
-        return min(float(np.nextafter(values[0], np.inf)), 1.0)
-    return float(values[ok.max()])
-
-
-def _extreme_negative(p: np.ndarray, is_fn: np.ndarray, budget: int) -> float:
-    """Mirror image: largest cut t with at most `budget` FNs at p <= t."""
-    if p.size == 0 or int(is_fn.sum()) <= budget:
-        return 0.5
-    order = np.argsort(p, kind="stable")
-    ps = p[order]
-    cum = np.cumsum(is_fn[order])
-    run_end = np.flatnonzero(np.r_[ps[1:] != ps[:-1], True])
-    counts = cum[run_end]  # FNs with p <= each distinct value, values ascending
-    values = ps[run_end]
-    ok = np.flatnonzero(counts <= budget)
-    if ok.size == 0:
-        return max(float(np.nextafter(values[0], -np.inf)), 0.0)
-    return float(values[ok.max()])
+        # the clamp of -p's cut is -0.0, so a th_n clamped to 0.0 comes back as +0.0
+        return side * min(float(np.nextafter(values[0], np.inf)), 1.0 if side > 0 else -0.0)
+    return side * float(values[ok.max()])
 
 
 def select_thresholds(
@@ -116,8 +102,8 @@ def select_thresholds(
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("select_thresholds: probabilities outside [0, 1]")
     pos = p >= 0.5
-    th_p = _extreme_positive(p[pos], confusion[pos] == "FP", tolerated.tolerated_fps)
-    th_n = _extreme_negative(p[~pos], confusion[~pos] == "FN", tolerated.tolerated_fns)
+    th_p = _extreme(p[pos], confusion[pos] == "FP", tolerated.tolerated_fps, +1)
+    th_n = _extreme(p[~pos], confusion[~pos] == "FN", tolerated.tolerated_fns, -1)
     return ThresholdPair(th_n=th_n, th_p=th_p)
 
 

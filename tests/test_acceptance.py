@@ -152,11 +152,11 @@ def _grad_error(analytic, numeric):
     return relative_error(a[live], n[live])
 
 
-def _relu_margin(mlp, x):
-    """Smallest |input| any ReLU in the stack sees, plus the stack output."""
+def _relu_margin(layers, x):
+    """Smallest |input| any ReLU in the layers sees, plus their output."""
     out = np.asarray(x, dtype=np.float64)
     margin = np.inf
-    for layer in mlp.layers:
+    for layer in layers:
         if isinstance(layer, ReLU):
             margin = min(margin, float(np.abs(out).min()))
         out = layer.forward(out, train=True)
@@ -188,22 +188,20 @@ def _model_config(rng):
         model = EncoderProjectionModel(d, enc, proj, seed=int(rng.integers(1 << 16)))
         x = rng.normal(size=(n, d))
         labels = rng.integers(0, 2, size=n)
-        m_enc, enc_out = _relu_margin(model.encoder, x)
-        m_proj, proj_out = _relu_margin(model.projection, enc_out)
+        # every layer but the closing L2 normalisation
+        margin, proj_out = _relu_margin(model.layers[:-1], x)
         row_norms = np.linalg.norm(proj_out, axis=1)
-        if min(m_enc, m_proj) > _KINK_MARGIN and row_norms.min() > _KINK_MARGIN:
+        if margin > _KINK_MARGIN and row_norms.min() > _KINK_MARGIN:
             break
 
     def f():
         # closes over x and the model; perturbing either reruns the full stack
-        _, proj_out = model.forward(x, train=True)
-        return supcon_loss(proj_out, labels)[0]
+        return supcon_loss(model.forward(x, train=True), labels)[0]
 
-    _, proj_out = model.forward(x, train=True)
-    _, grad = supcon_loss(proj_out, labels)
+    _, grad = supcon_loss(model.forward(x, train=True), labels)
     dx = model.backward(grad)
-    params = model.encoder.parameters() + model.projection.parameters()
-    grads = [g.copy() for g in model.encoder.gradients() + model.projection.gradients()]
+    params = model.parameters()
+    grads = [g.copy() for g in model.gradients()]
     k = int(rng.integers(len(params)))
     worst = _grad_error(dx, numeric_gradient(f, x))
     return max(worst, _grad_error(grads[k], numeric_gradient(f, params[k])))
@@ -220,7 +218,7 @@ def _head_config(rng):
         x = rng.normal(size=(n, d))
         labels = rng.integers(0, 2, size=n)
         targets = np.eye(2)[labels]
-        margin, _ = _relu_margin(mlp, x)
+        margin, _ = _relu_margin(mlp.layers, x)
         if margin > _KINK_MARGIN:
             break
 

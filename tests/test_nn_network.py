@@ -96,21 +96,30 @@ def test_encoder_projection_model():
     model = EncoderProjectionModel(6, encoder_spec((8, 4)), projection_spec((4, 2)), seed=3)
     assert model.input_width == 6
     assert model.embedding_width == 4
+    # one layer sequence: the encoder's, the projection's, the normalisation
+    assert [type(l) for l in model.layers] == [
+        Linear, BatchNorm, ReLU, Linear, BatchNorm, ReLU, Linear, ReLU, Linear, L2Normalize,
+    ]
+    assert model.n_encoder_layers == 6
     x = np.random.default_rng(1).normal(size=(5, 6))
-    enc, proj = model.forward(x, train=True)
+    proj = model.forward(x, train=True)
+    enc = model.embed(x)
     assert enc.shape == (5, 4)
     assert proj.shape == (5, 2)
     assert np.allclose(np.linalg.norm(proj, axis=1), 1.0)  # projections are unit rows
-    assert np.array_equal(model.embed(x), model.encoder.forward(x, False))
+    # embed is the encoder alone in eval mode: an MLP of the encoder spec,
+    # seeded seed + [0], carrying the model's encoder arrays
+    encoder = MLP(6, encoder_spec((8, 4)), seed=[3, 0])
+    encoder.load_state_arrays(model.state_arrays()[: len(encoder.state_arrays())])
+    assert np.array_equal(enc, encoder.forward(x, False))
 
     # same base seed twice: bit-identical init for encoder and projection
     twin = EncoderProjectionModel(6, encoder_spec((8, 4)), projection_spec((4, 2)), seed=3)
-    assert np.array_equal(model.encoder.layers[0].W, twin.encoder.layers[0].W)
-    assert np.array_equal(model.projection.layers[0].W, twin.projection.layers[0].W)
+    first_projection = model.n_encoder_layers
+    assert np.array_equal(model.layers[0].W, twin.layers[0].W)
+    assert np.array_equal(model.layers[first_projection].W, twin.layers[first_projection].W)
     # encoder and projection draw from distinct streams
-    assert not np.array_equal(
-        model.encoder.layers[0].W[:4, :4], model.projection.layers[0].W
-    )
+    assert not np.array_equal(model.layers[0].W[:4, :4], model.layers[first_projection].W)
 
 
 def test_encoder_projection_state_round_trip():

@@ -137,7 +137,7 @@ def test_train_model_restores_best_epoch():
     order = np.random.default_rng(1).permutation(data.n_samples)
     train, val = _split(data.subset(order), 6)
     model = train_model(train, val, fast_cfg(max_epochs=12), **TINY, seed=0)
-    _, proj = model.forward(val.values, train=False)
+    proj = model.forward(val.values, train=False)
     loss, _ = supcon_loss(proj, val.labels, 0.07)
     assert model.train_state.best_metric == pytest.approx(loss, abs=1e-12)
     assert 1 <= model.train_state.epochs_run <= 12
@@ -159,7 +159,7 @@ def test_train_model_monitors_train_when_val_too_small(tmp_path):
     order = np.random.default_rng(3).permutation(data.n_samples)
     train, val = _split(data.subset(order), 1)  # one-sample validation set
     model = train_model(train, val, fast_cfg(), **TINY, seed=2)
-    _, proj = model.forward(train.values, train=False)
+    proj = model.forward(train.values, train=False)
     loss, _ = supcon_loss(proj, train.labels, 0.07)
     assert model.train_state.best_metric == pytest.approx(loss, abs=1e-12)
 

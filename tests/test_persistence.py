@@ -1,6 +1,7 @@
 """Pipeline container round-trips and corruption diagnostics."""
 import json
 import re
+import time
 import zipfile
 from pathlib import Path
 
@@ -180,6 +181,18 @@ def test_deflated_archive_still_loads(tmp_path):
     assert np.array_equal(routes, want_routes)
 
 
+def test_saving_twice_gives_the_same_bytes(tmp_path, monkeypatch):
+    data, report = _data_and_report(seed=3)
+    pipe = _guided_pipeline("logistic", data, report)
+    saved = []
+    for now in (1_000_000_000.0, 1_700_000_000.0):  # 2001 and 2023
+        monkeypatch.setattr(time, "time", lambda now=now: now)
+        path = tmp_path / f"pipe_{now:.0f}.zip"
+        save(pipe, path)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+
+
 # Archives written by an earlier release. guided and classic predate the
 # shared pipeline type: make_blobs(12, 3, seed=5), a base that predicts
 # positive everywhere (so pair models 2-4 are skipped), CFG, seed 0, a
@@ -346,6 +359,8 @@ def _set(value, *path):
 
 _PRESENT = "key models_1_to_4[0].present must be true or false"
 _N_RAW = "key n_raw_features must be a positive integer"
+_COUNT = "a non-negative integer"
+_COUNTS = "a list of non-negative integers"
 
 
 @pytest.mark.parametrize("kind, mutate, message", [
@@ -366,9 +381,37 @@ _N_RAW = "key n_raw_features must be a positive integer"
     ("logistic", _set(0, "n_raw_features"), f"{_N_RAW}, found 0"),
     ("logistic", _set(0.5, "n_raw_features"), f"{_N_RAW}, found 0.5"),
     ("logistic", _set(True, "n_raw_features"), f"{_N_RAW}, found True"),
+    ("logistic", _set(None, "thresholds", "th_n"),
+     "key thresholds.th_n must be a finite number, found None"),
+    ("logistic", _set("x", "thresholds", "th_p"),
+     "key thresholds.th_p must be a finite number, found 'x'"),
+    ("logistic", _set(None, "model_5", "input_width"),
+     f"key model_5.input_width must be {_COUNT}, found None"),
+    ("logistic", _set("x", "model_5", "n_arrays"),
+     f"key model_5.n_arrays must be {_COUNT}, found 'x'"),
+    ("logistic", _set(5, "model_5", "seed"),
+     "key model_5.seed must be a list of integers, found 5"),
+    ("logistic", _set(None, "auxiliary", "spec", "layer_widths"),
+     f"key auxiliary.spec.layer_widths must be {_COUNTS}, found None"),
+    ("logistic", _set(None, "base", "bias"), "key base.bias must be a finite number, found None"),
+    ("logistic", _set(float("nan"), "base", "bias"),
+     "key base.bias must be a finite number, found nan"),
+    ("logistic", _set(None, "arrays", "aux_a0", "shape"),
+     f"key arrays.aux_a0.shape must be {_COUNTS}, found None"),
+    ("logistic", _set([], "thresholds"), "key thresholds must be an object, found []"),
+    ("logistic", _set(None, "model_5", "encoder"),
+     "key model_5.encoder must be an object, found None"),
+    ("logistic", _set(None, "feature_selection"),
+     "key feature_selection must be true or false, found None"),
+    ("logistic", _set({}, "models_1_to_4"),
+     "key models_1_to_4 must be a list of 4 objects, found {}"),
+    ("logistic", _set(True, "version"), "unsupported pipeline container version True"),
 ], ids=["auxiliary", "arrays", "kind", "thresholds", "dtype", "p_min", "p_max", "list",
         "present-null", "present-list", "present-object", "present-0",
-        "n_raw-negative", "n_raw-0", "n_raw-fraction", "n_raw-bool"])
+        "n_raw-negative", "n_raw-0", "n_raw-fraction", "n_raw-bool",
+        "th_n-null", "th_p-string", "input_width-null", "n_arrays-string", "seed-int",
+        "layer_widths-null", "bias-null", "bias-nan", "shape-null", "thresholds-list", "encoder-null",
+        "feature_selection-null", "models_1_to_4-object", "version-true"])
 def test_load_names_what_is_wrong_with_the_manifest(kind, mutate, message, tmp_path):
     def rewrite(name, b):
         if name != "manifest.json":
@@ -378,3 +421,4 @@ def test_load_names_what_is_wrong_with_the_manifest(kind, mutate, message, tmp_p
     out = _rewrite(_saved(tmp_path, kind), tmp_path / "edited.zip", rewrite)
     with pytest.raises(ValueError, match=re.escape(message)):
         load(out)
+

@@ -259,7 +259,7 @@ def _untrained_stage(guided, n_features=12, seed=0):
 
     def model(width, tag):
         m = EncoderProjectionModel(width, enc, proj, seed=[seed, tag])
-        _perturb_batch_norms(m.encoder, rng)
+        _perturb_batch_norms(m, rng)
         return m
 
     pairs = (model(n_features, 1), None, model(n_features, 3), model(n_features, 4))
@@ -466,14 +466,8 @@ def test_training_memory_does_not_grow_with_rows(monkeypatch):
 # ------------------------------------------------ what a network keeps
 
 def _layers(*networks):
-    """Every layer of the given Models and MLPs; None entries are skipped pairs."""
-    out = []
-    for net in networks:
-        if isinstance(net, EncoderProjectionModel):
-            out += net.encoder.layers + net.projection.layers + [net.normalize]
-        elif net is not None:
-            out += net.layers
-    return out
+    """Every layer of the given networks; None entries are skipped pairs."""
+    return [layer for net in networks if net is not None for layer in net.layers]
 
 
 def _stage_layers(stage):

@@ -1,4 +1,6 @@
 """Threshold calibration against an independent brute-force oracle."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,17 @@ def test_negative_side_mirror():
     th = select_thresholds(probs, tags(4, fn=[0, 2]), ToleratedCounts(0, 1))
     assert th.th_n == 0.20
     assert th.th_p == 0.5
+
+
+def test_over_budget_tie_blocks_at_the_ends_clamp_to_0_and_1():
+    # FNs tied at exactly 0.0 and FPs tied at exactly 1.0, nothing tolerated:
+    # the cuts would move past the ends, so they clamp to them. Errors at the
+    # very ends stay easy; th_n is +0.0, not -0.0.
+    probs = np.array([0.0, 0.0, 0.2, 0.8, 1.0, 1.0])
+    th = select_thresholds(probs, tags(6, fp=[4, 5], fn=[0, 1]), ToleratedCounts(0, 0))
+    assert th.th_n == 0.0
+    assert math.copysign(1.0, th.th_n) == 1.0
+    assert th.th_p == 1.0
 
 
 def test_select_thresholds_validation():
