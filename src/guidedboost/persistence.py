@@ -15,14 +15,24 @@ one fixed timestamp, so a pipeline always saves to the same bytes. Loading
 validates the format tag, the version, every blob's dtype and byte length, and
 the type of every other manifest value (``_KINDS``, read through
 ``_Node.get``, which names the key), so truncation, foreign files and hand
-edits fail with a diagnostic instead of garbage predictions.
+edits fail with a diagnostic instead of garbage predictions. A member whose
+bytes are damaged (a bad CRC-32, a broken header, a flag or compression
+method the reader refuses) fails with a ValueError that names it.
+
+Save and load hold one blob at a time. ``save`` writes each blob straight
+from its array's memory. ``load`` checks every blob's dtype and byte length
+against the zip directory up front, then reads each blob, in chunks, into
+its array only when the network or base that owns it is built.
 """
 from __future__ import annotations
 
 import json
 import math
 import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import fields
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +56,10 @@ _MODEL_KEYS = {"guided": ("model_5", "model5"), "classic": ("model", "model")}
 _P_RANGE = {"p_min": 0.0, "p_max": 1.0}
 # every member's timestamp: the earliest a zip header can hold
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+# bytes a blob is read in: the largest temporary a load makes
+_READ_CHUNK = 1 << 20
+# reads one blob by name, as the array its manifest entry describes
+_Blob = Callable[[str], np.ndarray]
 # what a manifest value of each kind must be, as (test, description); JSON
 # gives exact Python types, and a bool is neither a number nor a count here.
 # json.loads also reads NaN and Infinity, which no stored number may be.
@@ -99,22 +113,23 @@ class _Node:
 
 
 class _ArrayStore:
+    """The arrays table of a manifest, and the arrays its blobs are written from."""
+
     def __init__(self):
         self.entries: dict[str, dict] = {}
-        self.blobs: dict[str, bytes] = {}
+        self.arrays: dict[str, np.ndarray] = {}
 
     def add(self, name: str, arr: np.ndarray, dtype: str = _FLOAT):
         if dtype not in (_FLOAT, _INT):
             raise ValueError(f"unsupported blob dtype {dtype}")
         if name in self.entries:
             raise ValueError(f"duplicate array name {name}")
-        arr = np.ascontiguousarray(np.asarray(arr).astype(dtype))
         self.entries[name] = {
             "file": f"arrays/{name}.bin",
             "dtype": dtype,
-            "shape": list(arr.shape),
+            "shape": list(np.shape(arr)),
         }
-        self.blobs[name] = arr.tobytes()
+        self.arrays[name] = arr
 
 
 def _spec_to_json(spec: MlpSpec) -> dict:
@@ -141,9 +156,15 @@ def _store_arrays(store: _ArrayStore, prefix: str, net: MLP) -> int:
     return len(arrays)
 
 
-def _load_arrays(net: MLP, meta: _Node, arrays: dict[str, np.ndarray], prefix: str) -> MLP:
+def _load_arrays(net: MLP, meta: _Node, blob: _Blob, prefix: str) -> MLP:
     """net, holding the ``n_arrays`` blobs ``{prefix}_a{i}`` that meta counts."""
-    net.load_state_arrays([arrays[f"{prefix}_a{i}"] for i in range(meta.get("n_arrays", "count"))])
+    n_arrays, own = meta.get("n_arrays", "count"), len(net.state_arrays())
+    if n_arrays != own:
+        raise ValueError(
+            f"pipeline manifest key {meta.path}.n_arrays is {n_arrays}, "
+            f"but the network it describes holds {own} arrays"
+        )
+    net.load_state_arrays([blob(f"{prefix}_a{i}") for i in range(n_arrays)])
     return net
 
 
@@ -158,14 +179,14 @@ def _store_model(store: _ArrayStore, prefix: str, model: EncoderProjectionModel)
     }
 
 
-def _load_model(meta: _Node, arrays: dict[str, np.ndarray], prefix: str) -> EncoderProjectionModel:
+def _load_model(meta: _Node, blob: _Blob, prefix: str) -> EncoderProjectionModel:
     model = EncoderProjectionModel(
         meta.get("input_width", "count"),
         _spec_from_json(meta.get("encoder", "object")),
         _spec_from_json(meta.get("projection", "object")),
         meta.get("seed", "seed"),
     )
-    return _load_arrays(model, meta, arrays, prefix)
+    return _load_arrays(model, meta, blob, prefix)
 
 
 def _store_auxiliary(store: _ArrayStore, head: MLP) -> dict:
@@ -177,13 +198,13 @@ def _store_auxiliary(store: _ArrayStore, head: MLP) -> dict:
     }
 
 
-def _load_auxiliary(meta: _Node, arrays: dict[str, np.ndarray]) -> MLP:
+def _load_auxiliary(meta: _Node, blob: _Blob) -> MLP:
     head = MLP(
         meta.get("input_width", "count"),
         _spec_from_json(meta.get("spec", "object")),
         meta.get("seed", "seed"),
     )
-    return _load_arrays(head, meta, arrays, "aux")
+    return _load_arrays(head, meta, blob, "aux")
 
 
 def _store_forest(store: _ArrayStore, prefix: str, forest: ForestModel):
@@ -192,8 +213,8 @@ def _store_forest(store: _ArrayStore, prefix: str, forest: ForestModel):
         store.add(f"{prefix}_{f.name}", arr, _FLOAT if arr.dtype.kind == "f" else _INT)
 
 
-def _load_forest(arrays: dict[str, np.ndarray], prefix: str) -> ForestModel:
-    return ForestModel(**{f.name: arrays[f"{prefix}_{f.name}"] for f in fields(ForestModel)})
+def _load_forest(blob: _Blob, prefix: str) -> ForestModel:
+    return ForestModel(**{f.name: blob(f"{prefix}_{f.name}") for f in fields(ForestModel)})
 
 
 def _store_base(store: _ArrayStore, base) -> dict:
@@ -220,11 +241,11 @@ def _store_base(store: _ArrayStore, base) -> dict:
     raise ValueError(f"cannot serialize base adapter of type {type(base).__name__}")
 
 
-def _load_base(meta: _Node, arrays: dict[str, np.ndarray]):
+def _load_base(meta: _Node, blob: _Blob):
     kind = meta.get("type", "text")
     if kind == "logistic":
         return IdentityAdapter(
-            LinearModel(weights=arrays["base_weights"], bias=float(meta.get("bias", "number")),
+            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number")),
                         kind="logistic")
         )
     if kind == "svm":
@@ -236,19 +257,19 @@ def _load_base(meta: _Node, arrays: dict[str, np.ndarray]):
                     f"this build maps svm scores onto [0, 1]"
                 )
         return SvmAdapter(
-            LinearModel(weights=arrays["base_weights"], bias=float(meta.get("bias", "number")),
+            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number")),
                         kind="svm"),
             ScoreRange(float(r.get("f_min", "number")), float(r.get("f_max", "number"))),
         )
     if kind == "forest":
-        return IdentityAdapter(_load_forest(arrays, "base_forest"))
+        return IdentityAdapter(_load_forest(blob, "base_forest"))
     if kind == "knn":
         model = NearestNeighborModel(
-            values=arrays["knn_values"],
-            labels=arrays["knn_labels"],
-            ids=arrays["knn_ids"],
+            values=blob("knn_values"),
+            labels=blob("knn_labels"),
+            ids=blob("knn_ids"),
         )
-        return KnnAdapter(model, _load_forest(arrays, "proxy_forest"))
+        return KnnAdapter(model, _load_forest(blob, "proxy_forest"))
     raise ValueError(f"unknown base type {kind!r} in manifest")
 
 
@@ -281,46 +302,79 @@ def save(pipeline: Pipeline, path) -> None:
     manifest["auxiliary"] = _store_auxiliary(store, stage.auxiliary)
     manifest["arrays"] = store.entries
 
-    members = {"manifest.json": json.dumps(manifest, indent=2)}
-    members.update((entry["file"], store.blobs[name]) for name, entry in store.entries.items())
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name, payload in members.items():
-            zf.writestr(zipfile.ZipInfo(name, date_time=_ZIP_DATE), payload)
+        zf.writestr(zipfile.ZipInfo("manifest.json", date_time=_ZIP_DATE),
+                    json.dumps(manifest, indent=2))
+        for name, entry in store.entries.items():
+            arr = np.asarray(store.arrays[name], entry["dtype"], order="C")
+            # written from the array's own memory, so a save holds no blob's bytes
+            zf.writestr(zipfile.ZipInfo(entry["file"], date_time=_ZIP_DATE),
+                        arr.reshape(-1).view(np.uint8))
 
 
-def _read_arrays(zf: zipfile.ZipFile, table: _Node) -> dict[str, np.ndarray]:
-    out = {}
+@contextmanager
+def _zip_errors(what: str):
+    """Raise what the zip reader finds wrong as a ValueError that starts with what."""
+    try:
+        yield
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError,
+            RuntimeError) as exc:  # RuntimeError: the encrypted flag bit
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def _blob_reader(zf: zipfile.ZipFile, table: _Node) -> _Blob:
+    """Check every blob that table lists against the zip directory: its member
+    exists, its dtype is known, and its byte length fits its shape. Returns
+    the function that reads one blob, by name, when it is needed."""
+    found = {}
     for name in table.obj:
         entry = table.get(name, "object")
         file, dtype = entry.get("file", "text"), entry.get("dtype", "text")
         shape = tuple(entry.get("shape", "counts"))
         try:
-            raw = zf.read(file)
+            info = zf.getinfo(file)
         except KeyError:
             raise ValueError(f"pipeline container is missing blob {file}") from None
         if dtype not in (_FLOAT, _INT):
             raise ValueError(f"pipeline container blob {name} has unsupported dtype {dtype!r}")
         expected = int(np.prod(shape, dtype=np.int64)) * 8
-        if len(raw) != expected:
+        if info.file_size != expected:
             raise ValueError(
                 f"pipeline container blob {name} is corrupt: "
-                f"expected {expected} bytes, found {len(raw)}"
+                f"expected {expected} bytes, found {info.file_size}"
             )
-        out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return out
+        found[name] = (info, dtype, shape)
+
+    def blob(name: str) -> np.ndarray:
+        info, dtype, shape = found[name]
+        out = np.empty(shape, dtype)
+        flat = out.reshape(-1).view(np.uint8)
+        # in chunks, so the only copy of the blob is its array
+        with (
+            _zip_errors(f"pipeline container member {info.filename} is corrupt"),
+            zf.open(info) as member,
+        ):
+            for start in range(0, flat.size, _READ_CHUNK):
+                chunk = flat[start : start + _READ_CHUNK]
+                if member.readinto(chunk) != chunk.size:
+                    raise EOFError("it ends early")
+        return out
+
+    return blob
 
 
 def load(path) -> Pipeline:
     """Read a pipeline container written by save()."""
-    try:
+    with _zip_errors("not a readable pipeline container"):
         zf = zipfile.ZipFile(path, "r")
-    except (zipfile.BadZipFile, OSError) as exc:
-        raise ValueError(f"not a readable pipeline container: {exc}") from None
     with zf:
         try:
-            manifest = json.loads(zf.read("manifest.json"))
+            with _zip_errors("pipeline container member manifest.json is corrupt"):
+                raw = zf.read("manifest.json")
         except KeyError:
             raise ValueError("pipeline container has no manifest.json") from None
+        try:
+            manifest = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"pipeline manifest is corrupt: {exc}") from None
         if not isinstance(manifest, dict):
@@ -339,17 +393,17 @@ def load(path) -> Pipeline:
             )
         manifest = _Node(manifest)
         try:
-            return _from_manifest(manifest, _read_arrays(zf, manifest.get("arrays", "object")))
+            return _from_manifest(manifest, _blob_reader(zf, manifest.get("arrays", "object")))
         except KeyError as exc:  # a blob the manifest's arrays table does not list
             raise ValueError(f"pipeline manifest is missing key {exc.args[0]!r}") from None
 
 
-def _from_manifest(manifest: _Node, arrays: dict[str, np.ndarray]) -> Pipeline:
+def _from_manifest(manifest: _Node, blob: _Blob) -> Pipeline:
     kind = manifest.get("kind", "text")
     if kind not in _MODEL_KEYS:
         raise ValueError(f"unknown pipeline kind {kind!r} in manifest")
     models_1_to_4 = tuple(
-        _load_model(meta, arrays, f"model{k}") if meta.get("present", "flag") else None
+        _load_model(meta, blob, f"model{k}") if meta.get("present", "flag") else None
         for k, meta in enumerate(
             manifest.get("models_1_to_4", "four") if kind == "guided" else (), start=1
         )
@@ -358,12 +412,12 @@ def _from_manifest(manifest: _Node, arrays: dict[str, np.ndarray]) -> Pipeline:
     key, prefix = _MODEL_KEYS[kind]
     stage = Stage(
         models_1_to_4=models_1_to_4,
-        model=_load_model(manifest.get(key, "object"), arrays, prefix),
-        auxiliary=_load_auxiliary(manifest.get("auxiliary", "object"), arrays),
+        model=_load_model(manifest.get(key, "object"), blob, prefix),
+        auxiliary=_load_auxiliary(manifest.get("auxiliary", "object"), blob),
     )
     thresholds = manifest.get("thresholds", "object")
     return Pipeline(
-        base=_load_base(manifest.get("base", "object"), arrays),
+        base=_load_base(manifest.get("base", "object"), blob),
         thresholds=ThresholdPair(
             th_n=float(thresholds.get("th_n", "number")),
             th_p=float(thresholds.get("th_p", "number")),
@@ -371,7 +425,7 @@ def _from_manifest(manifest: _Node, arrays: dict[str, np.ndarray]) -> Pipeline:
         stage=stage,
         n_raw_features=n_raw,
         feature_selection=(
-            arrays["feature_selection"] if manifest.get("feature_selection", "flag") else None
+            blob("feature_selection") if manifest.get("feature_selection", "flag") else None
         ),
         metadata=manifest.get("metadata", "object", _Node({})).obj,
     )

@@ -49,8 +49,9 @@ MODEL_PAIRS = (("TP", "FP"), ("TN", "FN"), ("TP", "TN"), ("FP", "FN"))
 _EMBEDDER_TAG = 5
 _AUX_TAG = 6
 # rows per block of every eval-mode network pass: each layer's temporaries
-# stay this tall
-PREDICT_BLOCK_ROWS = 1024
+# stay this tall, the widest 256 x 256 float64 (512 KB). 1024-row blocks
+# raised a README quick-start run's peak RSS by about 5 MB; 128 saved little.
+PREDICT_BLOCK_ROWS = 256
 
 
 @dataclass

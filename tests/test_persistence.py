@@ -1,13 +1,18 @@
 """Pipeline container round-trips and corruption diagnostics."""
+import io
 import json
 import re
+import struct
 import time
+import tracemalloc
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_blobs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidedboost.classifiers.adapters import (
     IdentityAdapter,
@@ -193,6 +198,45 @@ def test_saving_twice_gives_the_same_bytes(tmp_path, monkeypatch):
     assert saved[0] == saved[1]
 
 
+def test_save_and_load_hold_one_blob_at_a_time(tmp_path):
+    """A knn base's values are most of its archive. Beyond what it returns,
+    neither save nor load holds a quarter of that one blob: a save writes
+    each blob from its array's memory, and a load reads each blob in chunks
+    into the array it returns. (An earlier save held every blob's bytes at
+    once, 2 x the largest here; an earlier load read each blob whole.)"""
+    data, report = _data_and_report(seed=3)
+    pipe = _guided_pipeline("knn", data, report)
+    n = 400_000
+    rng = np.random.default_rng(0)
+    pipe.base.model = NearestNeighborModel(
+        values=rng.normal(size=(n, data.n_features)),
+        labels=rng.integers(0, 2, n),
+        ids=np.arange(n),
+    )
+    path = tmp_path / "knn.zip"
+
+    def excess(call):
+        """Peak traced memory of call beyond what it leaves allocated."""
+        tracemalloc.start()
+        try:
+            result = call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - current, result
+
+    saved, _ = excess(lambda: save(pipe, path))
+    loaded, back = excess(lambda: load(path))
+    with zipfile.ZipFile(path) as zf:
+        sizes = {i.filename: i.file_size for i in zf.infolist() if i.filename != "manifest.json"}
+    largest = max(sizes.values())
+    assert largest == sizes["arrays/knn_values.bin"] > sum(sizes.values()) / 2
+    assert saved < largest / 4
+    assert loaded < largest / 4
+    assert np.array_equal(back.base.model.values, pipe.base.model.values)
+    assert back.base.model.values.flags.writeable
+
+
 # Archives written by an earlier release. guided and classic predate the
 # shared pipeline type: make_blobs(12, 3, seed=5), a base that predicts
 # positive everywhere (so pair models 2-4 are skipped), CFG, seed 0, a
@@ -241,6 +285,42 @@ def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path)
     got_labels, got_routes = pipeline_predict(back, data)
     assert "".join(map(str, got_labels)) == labels
     assert "".join(r[0] for r in got_routes) == routes
+
+
+def _loads_as_recorded_or_fails_with_a_value_error(kind, raw):
+    """Load the (damaged) bytes of fixture kind: either a ValueError, or a
+    pipeline that predicts the fixture's recorded labels and routes."""
+    try:
+        back = load(io.BytesIO(raw))
+    except ValueError:
+        return
+    blobs, labels, routes = EARLIER[kind]
+    got_labels, got_routes = pipeline_predict(
+        back, make_blobs(n_per_class=12, n_features=3, seed=5, **blobs)
+    )
+    assert "".join(map(str, got_labels)) == labels
+    assert "".join(r[0] for r in got_routes) == routes
+
+
+_FIXTURES = {kind: (ARCHIVES / f"archive_{kind}_v1.zip").read_bytes() for kind in EARLIER}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(EARLIER)), data=st.data())
+def test_a_fixture_with_one_flipped_byte_loads_as_recorded_or_fails_loudly(kind, data):
+    raw = bytearray(_FIXTURES[kind])
+    offset = data.draw(st.integers(0, len(raw) - 1), "offset")
+    raw[offset] ^= data.draw(st.integers(1, 255), "mask")
+    _loads_as_recorded_or_fails_with_a_value_error(kind, bytes(raw))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(EARLIER)), data=st.data())
+def test_a_truncated_fixture_fails_loudly(kind, data):
+    raw = _FIXTURES[kind]
+    _loads_as_recorded_or_fails_with_a_value_error(
+        kind, raw[: data.draw(st.integers(0, len(raw) - 1), "length")]
+    )
 
 
 # ------------------------------------------------------------ corruption
@@ -331,6 +411,32 @@ def test_load_rejects_missing_blob(tmp_path):
         load(out)
 
 
+def _data_offset(raw, name):
+    """Where member name's data starts in the zip bytes raw."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        start = zf.getinfo(name).header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[start + 26 : start + 30])
+    return start + 30 + name_len + extra_len
+
+
+def _encrypted_flag(raw, name):
+    """Where member name's flags sit in its central directory entry (46 fixed
+    bytes, then the name); bit 0 of byte 8 marks the member encrypted."""
+    return raw.rindex(name.encode()) - 46 + 8
+
+
+@pytest.mark.parametrize("member, offset, cause", [
+    ("arrays/model5_a0.bin", lambda raw, m: _data_offset(raw, m) + 5, "Bad CRC-32"),
+    ("manifest.json", lambda raw, m: _data_offset(raw, m) + 5, "Bad CRC-32"),
+    ("arrays/model5_a0.bin", _encrypted_flag, "encrypted"),
+], ids=["blob-data", "manifest-data", "encrypted-flag"])
+def test_a_flipped_bit_names_the_damaged_member(member, offset, cause):
+    raw = bytearray(_FIXTURES["guided"])
+    raw[offset(raw, member)] ^= 0x01
+    with pytest.raises(ValueError, match=f"member {re.escape(member)} is corrupt: .*{cause}"):
+        load(io.BytesIO(bytes(raw)))
+
+
 def test_corrupt_manifest_json(tmp_path):
     path = _saved(tmp_path)
     out = _rewrite(path, tmp_path / "badjson.zip",
@@ -389,6 +495,10 @@ _COUNTS = "a list of non-negative integers"
      f"key model_5.input_width must be {_COUNT}, found None"),
     ("logistic", _set("x", "model_5", "n_arrays"),
      f"key model_5.n_arrays must be {_COUNT}, found 'x'"),
+    ("logistic", _set(99, "model_5", "n_arrays"),
+     "key model_5.n_arrays is 99, but the network it describes holds"),
+    ("logistic", _set(3, "model_5", "n_arrays"),
+     "key model_5.n_arrays is 3, but the network it describes holds"),
     ("logistic", _set(5, "model_5", "seed"),
      "key model_5.seed must be a list of integers, found 5"),
     ("logistic", _set(None, "auxiliary", "spec", "layer_widths"),
@@ -409,7 +519,8 @@ _COUNTS = "a list of non-negative integers"
 ], ids=["auxiliary", "arrays", "kind", "thresholds", "dtype", "p_min", "p_max", "list",
         "present-null", "present-list", "present-object", "present-0",
         "n_raw-negative", "n_raw-0", "n_raw-fraction", "n_raw-bool",
-        "th_n-null", "th_p-string", "input_width-null", "n_arrays-string", "seed-int",
+        "th_n-null", "th_p-string", "input_width-null", "n_arrays-string",
+        "n_arrays-99", "n_arrays-3", "seed-int",
         "layer_widths-null", "bias-null", "bias-nan", "shape-null", "thresholds-list", "encoder-null",
         "feature_selection-null", "models_1_to_4-object", "version-true"])
 def test_load_names_what_is_wrong_with_the_manifest(kind, mutate, message, tmp_path):

@@ -272,22 +272,34 @@ def _untrained_stage(guided, n_features=12, seed=0):
 
 
 def test_row_blocks_cover_the_rows_without_a_one_row_block():
-    assert PREDICT_BLOCK_ROWS == 1024
+    B = PREDICT_BLOCK_ROWS
+    assert B >= 2
     spans = {n: [(b.start, b.stop) for b in _row_blocks(n)]
-             for n in (0, 1, 2, 1024, 1025, 1026, 2049)}
+             for n in (0, 1, 2, B, B + 1, B + 2, 2 * B + 1)}
     assert spans == {
         0: [],
         1: [(0, 1)],
         2: [(0, 2)],
-        1024: [(0, 1024)],
-        1025: [(0, 1025)],
-        1026: [(0, 1024), (1024, 1026)],
-        2049: [(0, 1024), (1024, 2049)],
+        B: [(0, B)],
+        B + 1: [(0, B + 1)],
+        B + 2: [(0, B), (B, B + 2)],
+        2 * B + 1: [(0, B), (B, 2 * B + 1)],
     }
 
 
 @pytest.mark.parametrize("guided", [True, False], ids=["guided", "classic"])
-@pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 1026, 3 * 1024 + 1])
+@pytest.mark.parametrize("n", sorted({
+    2,
+    # each edge of a block: B - 1, B, B + 1 (its 1-row tail joins the block),
+    # B + 2 and 3B + 1, for B = PREDICT_BLOCK_ROWS
+    PREDICT_BLOCK_ROWS - 1,
+    PREDICT_BLOCK_ROWS,
+    PREDICT_BLOCK_ROWS + 1,
+    PREDICT_BLOCK_ROWS + 2,
+    3 * PREDICT_BLOCK_ROWS + 1,
+    # many blocks, with tails of B - 1, B, 1, 2 and 1 rows at B = 256
+    1023, 1024, 1025, 1026, 3073,
+}))
 def test_stage_predict_matches_whole_batch_bit_for_bit(guided, n):
     stage = _untrained_stage(guided)
     X = np.random.default_rng(n).normal(size=(n, 12))
@@ -300,6 +312,28 @@ def test_stage_predict_matches_whole_batch_bit_for_bit(guided, n):
         assert np.array_equal(stage.embed(X[rows]), whole[rows])
     if n > PREDICT_BLOCK_ROWS:
         assert set(want.tolist()) == {0, 1}  # fixture sanity: labels can differ
+
+
+@pytest.mark.parametrize("guided", [True, False], ids=["guided", "classic"])
+def test_block_size_does_not_change_a_bit(guided, monkeypatch):
+    """Stage.predict, the concatenated pair embeddings and the training
+    embeddings (``_embed``) carry the same bits at any block size."""
+    stage = _untrained_stage(guided)
+    X = np.random.default_rng(7).normal(size=(1031, 12))
+
+    def outputs(rows):
+        monkeypatch.setattr(pipeline, "PREDICT_BLOCK_ROWS", rows)
+        assert len(_row_blocks(X.shape[0])) > 1
+        inputs = (
+            concat_embeddings(stage.models_1_to_4, X, stage.model.input_width // 4)
+            if guided else X
+        )
+        return stage.predict(X), inputs, pipeline._embed(stage.model, inputs)
+
+    want = outputs(1024)
+    for rows in (2, 256):
+        got = outputs(rows)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), rows
 
 
 def test_guided_concatenation_zeroes_only_the_skipped_block():
