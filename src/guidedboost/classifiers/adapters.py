@@ -50,8 +50,8 @@ class ScoreRange:
         pooled = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in score_arrays])
         if pooled.size == 0:
             raise ValueError("ScoreRange.from_scores: no scores given")
-        if not np.isfinite(pooled).all():
-            raise ValueError("ScoreRange.from_scores: non-finite score")
+        # a NaN or an infinity always reaches the min or the max, which
+        # __post_init__ rejects
         return cls(f_min=float(pooled.min()), f_max=float(pooled.max()))
 
 
@@ -102,8 +102,6 @@ class IdentityAdapter:
     fixed_thresholds: ThresholdPair | None = None
 
     def __init__(self, model: LinearModel | ForestModel):
-        if isinstance(model, LinearModel) and model.kind != "logistic":
-            raise ValueError("IdentityAdapter expects a logistic or forest model, not an svm")
         self.model = model
 
     def predict_probabilities(self, X: np.ndarray) -> np.ndarray:
@@ -119,8 +117,6 @@ class SvmAdapter:
     fixed_thresholds: ThresholdPair | None = None
 
     def __init__(self, model: LinearModel, score_range: ScoreRange):
-        if model.kind != "svm":
-            raise ValueError("SvmAdapter expects an svm model")
         self.model = model
         self.score_range = score_range
 

@@ -25,18 +25,15 @@ class LinearConfig:
 class LinearModel:
     """Weights + bias of a trained linear classifier.
 
-    ``kind`` records which loss produced it: "logistic" models expose
-    calibrated-ish probabilities through the sigmoid, "svm" models expose raw
-    decision scores w.x + b.
+    Its adapter says what the decision scores w.x + b mean: a logistic model's
+    probabilities are their sigmoid (``predict_proba``), an svm's scores go
+    through the score-to-probability transform.
     """
 
     weights: np.ndarray
     bias: float
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "svm"):
-            raise ValueError(f"unknown linear model kind {self.kind!r}")
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -51,9 +48,7 @@ class LinearModel:
         return X @ self.weights + self.bias
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probability; defined for logistic models only."""
-        if self.kind != "logistic":
-            raise ValueError("predict_proba is only defined for logistic models")
+        """Positive-class probability of a logistic model."""
         return _probability(self.decision_scores(X))
 
 
@@ -88,7 +83,7 @@ def train_logistic(data: FeatureMatrix, cfg: LinearConfig | None = None) -> Line
         grad_b = float(err.mean())
         w -= cfg.learning_rate * grad_w
         b -= cfg.learning_rate * grad_b
-    return LinearModel(weights=w, bias=b, kind="logistic")
+    return LinearModel(weights=w, bias=b)
 
 
 @dataclass
@@ -125,4 +120,4 @@ def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> Linea
         grad_b = -float(yv.sum()) / n
         w -= cfg.learning_rate * grad_w
         b -= cfg.learning_rate * grad_b
-    return LinearModel(weights=w, bias=b, kind="svm")
+    return LinearModel(weights=w, bias=b)

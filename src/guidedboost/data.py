@@ -110,31 +110,18 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class PredictionReport:
-    """Per-sample positive-class probability and binary prediction.
+    """Per-sample positive-class probability and the binary prediction it implies.
 
     ``prediction == 1`` iff ``probability >= 0.5``; a probability of exactly
-    0.5 is predicted positive.
+    0.5 is predicted positive. Build reports with ``prediction_report``.
     """
 
     ids: np.ndarray
     probabilities: np.ndarray
-    predictions: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "ids", _frozen(np.asarray(self.ids, dtype=np.int64)))
-        object.__setattr__(
-            self, "probabilities", _frozen(np.asarray(self.probabilities, dtype=np.float64))
-        )
-        object.__setattr__(
-            self, "predictions", _frozen(np.asarray(self.predictions, dtype=np.int64))
-        )
-        n = len(self.ids)
-        for name in ("probabilities", "predictions"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match ids")
-        expected = (self.probabilities >= 0.5).astype(np.int64)
-        if not np.array_equal(expected, self.predictions):
-            raise ValueError("predictions inconsistent with probabilities (p >= 0.5 rule)")
+    @property
+    def predictions(self) -> np.ndarray:
+        return (self.probabilities >= 0.5).astype(np.int64)
 
     @property
     def n_samples(self) -> int:
@@ -150,8 +137,7 @@ def prediction_report(probabilities, labels, ids) -> PredictionReport:
         raise ValueError("probabilities, labels and ids must have equal length")
     if probabilities.size and (probabilities.min() < 0.0 or probabilities.max() > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    predictions = (probabilities >= 0.5).astype(np.int64)
-    return PredictionReport(ids=ids, probabilities=probabilities, predictions=predictions)
+    return PredictionReport(ids=_frozen(ids), probabilities=_frozen(probabilities))
 
 
 def check_report_alignment(report: PredictionReport, data: FeatureMatrix, what: str):

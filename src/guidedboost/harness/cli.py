@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-Subcommands mirror the protocol stages: train-base, calibrate, split,
-guided-retrain, classic-retrain, run, evaluate, predict, synth. All
-configuration comes from a JSON file (--config); --seed and --out override
-the corresponding config fields. Exit code 0 on success, 1 on failure with a
+Subcommands (``COMMANDS``) mirror the protocol stages. All configuration
+comes from a JSON file (--config); --seed and --out override the
+corresponding config fields. Exit code 0 on success, 1 on failure with a
 stage-tagged message on stderr.
 """
 from __future__ import annotations
@@ -21,7 +20,7 @@ from ..pipeline import ROUTE_AUXILIARY, ROUTE_BASE, pipeline_predict
 from ..thresholding import curve_to_csv
 from .config import ExperimentConfig, load_config
 from .experiment import StageError, load_data, metrics_to_csv, prepare, run_experiment
-from .io import load_dense_csv, load_sparse, write_dense_csv
+from .io import DATA_FORMATS, load_file, write_dense_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,30 +34,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-stage boosting of binary classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("train-base", parents=[common],
-                   help="train the base classifier and report per-split metrics")
-    sub.add_parser("calibrate", parents=[common],
-                   help="derive routing thresholds from the validation split")
-    sub.add_parser("split", parents=[common],
-                   help="partition each split into easy and difficult subsets")
-    sub.add_parser("guided-retrain", parents=[common],
-                   help="run the protocol with the guided retraining stage only")
-    sub.add_parser("classic-retrain", parents=[common],
-                   help="run the protocol with the classic retraining stage only")
-    sub.add_parser("run", parents=[common],
-                   help="run the full protocol with both retraining variants")
-    sub.add_parser("synth", parents=[common],
-                   help="generate the configured synthetic dataset as dense CSV")
-
-    for name in ("evaluate", "predict"):
-        p = sub.add_parser(
-            name, parents=[common],
-            help=f"{name} a saved pipeline on a labeled dataset",
-        )
-        p.add_argument("--pipeline", required=True, help="path to a saved pipeline archive")
-        p.add_argument("--data", required=True, help="path to the dataset file")
-        p.add_argument("--format", choices=("dense", "sparse"), default="dense")
+    for name, (help_text, handler) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if handler in (_cmd_evaluate, _cmd_predict):
+            p.add_argument("--pipeline", required=True, help="path to a saved pipeline archive")
+            p.add_argument("--data", required=True, help="path to the dataset file")
+            p.add_argument("--format", choices=DATA_FORMATS, default="dense")
     return parser
 
 
@@ -71,11 +52,6 @@ def _load_cfg(args) -> ExperimentConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
-
-
-def _load_any(path: str, fmt: str, n_features: int):
-    """A labeled dataset; a sparse file is read at the pipeline's raw width."""
-    return load_dense_csv(path) if fmt == "dense" else load_sparse(path, n_features)
 
 
 def _print_report(label: str, rep) -> None:
@@ -176,7 +152,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     pipeline = load_pipeline(args.pipeline)
-    data = _load_any(args.data, args.format, pipeline.n_raw_features)
+    data = load_file(args.data, args.format, pipeline.n_raw_features)
     preds, routes = pipeline_predict(pipeline, data)
     _print_report("whole", evaluate(preds, data.labels))
     for label, route in (("easy", ROUTE_BASE), ("difficult", ROUTE_AUXILIARY)):
@@ -190,7 +166,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     pipeline = load_pipeline(args.pipeline)
-    data = _load_any(args.data, args.format, pipeline.n_raw_features)
+    data = load_file(args.data, args.format, pipeline.n_raw_features)
     preds, routes = pipeline_predict(pipeline, data)
     lines = ["id,prediction,route"]
     lines += [
@@ -208,22 +184,28 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+# command -> (help, handler)
+COMMANDS = {
+    "train-base": ("train the base classifier and report per-split metrics", _cmd_train_base),
+    "calibrate": ("derive routing thresholds from the validation split", _cmd_calibrate),
+    "split": ("partition each split into easy and difficult subsets", _cmd_split),
+    "guided-retrain": ("run the protocol with the guided retraining stage only",
+                       lambda a: _cmd_run(a, ("guided",))),
+    "classic-retrain": ("run the protocol with the classic retraining stage only",
+                        lambda a: _cmd_run(a, ("classic",))),
+    "run": ("run the full protocol with both retraining variants",
+            lambda a: _cmd_run(a, ("guided", "classic"))),
+    "synth": ("generate the configured synthetic dataset as dense CSV", _cmd_synth),
+    "evaluate": ("evaluate a saved pipeline on a labeled dataset", _cmd_evaluate),
+    "predict": ("predict a saved pipeline on a labeled dataset", _cmd_predict),
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     np.seterr(over="ignore")  # stable sigmoid clips anyway; keep CLI output clean
-    handlers = {
-        "train-base": _cmd_train_base,
-        "calibrate": _cmd_calibrate,
-        "split": _cmd_split,
-        "guided-retrain": lambda a: _cmd_run(a, ("guided",)),
-        "classic-retrain": lambda a: _cmd_run(a, ("classic",)),
-        "run": lambda a: _cmd_run(a, ("guided", "classic")),
-        "synth": _cmd_synth,
-        "evaluate": _cmd_evaluate,
-        "predict": _cmd_predict,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][1](args)
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,21 +2,21 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from ..nn.network import (
-    DESK_ENCODER_WIDTHS,
-    DESK_PROJECTION_WIDTHS,
-    encoder_spec,
-    projection_spec,
-)
+from ..nn.network import encoder_spec, projection_spec
 from ..nn.training import TrainConfig
 from ..pipeline import RetrainConfig
 from ..thresholding import ToleranceConfig
+from .io import DATA_FORMATS
 
 BASE_KINDS = ("logistic", "svm", "forest", "knn")
-DATA_FORMATS = ("dense", "sparse")
+# the top-level keys of a config file, as config_to_dict writes them
+_CONFIG_KEYS = (
+    "data", "fractions", "tolerance", "base", "feature_top_k", "encoder_widths",
+    "projection_widths", "train", "seed", "out_dir",
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,10 @@ class ExperimentConfig:
         if len(f) != 3 or min(f) <= 0.0 or abs(sum(f) - 1.0) > 1e-9:
             raise ValueError("ExperimentConfig: fractions must be three positives summing to 1")
         self.fractions = f
+        for name in ("feature_top_k", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"ExperimentConfig: {name} must be an integer, got {value!r}")
         if self.feature_top_k < 0:
             raise ValueError("ExperimentConfig: feature_top_k must be >= 0 (0 disables)")
 
@@ -104,36 +108,61 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
+def _object(value, path: str, known: tuple[str, ...] | None = None) -> dict:
+    """value, checked to be a JSON object whose keys are all in known (any key
+    when known is None); errors name the key path."""
+    if not isinstance(value, dict):
+        where = f"config key {path}" if path else "config"
+        raise ValueError(f"{where} must be a JSON object, found {type(value).__name__}")
+    for key in value:
+        if known is not None and key not in known:
+            where = f"{path}.{key}" if path else key
+            raise ValueError(
+                f"unknown config key {where}: {key!r} is not one of {', '.join(known)}"
+            )
+    return value
+
+
+def _dataclass(cls, value, path: str):
+    """cls, built from the config object at path, which may hold only cls's fields."""
+    return cls(**_object(value, path, tuple(f.name for f in fields(cls))))
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    data = d.get("data", {})
-    synthetic = None
-    data_path = None
-    data_format = "dense"
+    """The config that config_to_dict wrote. Only the keys present are passed
+    on, so every default is its dataclass's; an unknown key is an error."""
+    d = _object(d, "", _CONFIG_KEYS)
+    kwargs: dict = {}
+    data = _object(d.get("data", {}), "data", ("synthetic", "path", "format"))
     if "synthetic" in data:
-        synthetic = SyntheticSpec(**data["synthetic"])
-    else:
-        data_path = data.get("path")
-        data_format = data.get("format", "dense")
-    retrain = RetrainConfig(
-        encoder=encoder_spec(tuple(d.get("encoder_widths", DESK_ENCODER_WIDTHS))),
-        projection=projection_spec(tuple(d.get("projection_widths", DESK_PROJECTION_WIDTHS))),
-        train=TrainConfig(**d.get("train", {})),
-    )
-    tol = d.get("tolerance", {})
-    base = d.get("base", {})
-    return ExperimentConfig(
-        data_path=data_path,
-        data_format=data_format,
-        synthetic=synthetic,
-        fractions=tuple(d.get("fractions", (0.8, 0.1, 0.1))),
-        tolerance=ToleranceConfig(X=tol.get("X", 5.0), Y=tol.get("Y", 5.0)),
-        base=base.get("kind", "svm"),
-        base_params=dict(base.get("params", {})),
-        feature_top_k=int(d.get("feature_top_k", 0)),
-        retrain=retrain,
-        seed=int(d.get("seed", 0)),
-        out_dir=d.get("out_dir"),
-    )
+        extra = sorted(data.keys() - {"synthetic"})
+        if extra:
+            raise ValueError(f"config key data.{extra[0]} cannot be set with data.synthetic")
+        kwargs["synthetic"] = _dataclass(SyntheticSpec, data["synthetic"], "data.synthetic")
+    for key, name in (("path", "data_path"), ("format", "data_format")):
+        if key in data:
+            kwargs[name] = data[key]
+    if "base" in d:
+        base = _object(d["base"], "base", ("kind", "params"))
+        if "kind" in base:
+            kwargs["base"] = base["kind"]
+        if "params" in base:
+            kwargs["base_params"] = dict(_object(base["params"], "base.params"))
+    if "tolerance" in d:
+        kwargs["tolerance"] = _dataclass(ToleranceConfig, d["tolerance"], "tolerance")
+    if "fractions" in d:
+        kwargs["fractions"] = tuple(d["fractions"])
+    for key in ("feature_top_k", "seed", "out_dir"):
+        if key in d:
+            kwargs[key] = d[key]
+    retrain: dict = {}
+    if "encoder_widths" in d:
+        retrain["encoder"] = encoder_spec(d["encoder_widths"])
+    if "projection_widths" in d:
+        retrain["projection"] = projection_spec(d["projection_widths"])
+    if "train" in d:
+        retrain["train"] = _dataclass(TrainConfig, d["train"], "train")
+    return ExperimentConfig(retrain=RetrainConfig(**retrain), **kwargs)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -31,7 +31,7 @@ from ..data import (
 )
 from ..metrics import EvaluationReport, delta_errors, errors_reduction, evaluate
 from ..persistence import save
-from ..pipeline import Pipeline, classic_fit, guided_fit
+from ..pipeline import Pipeline, classic_fit, difficult_set_problem, guided_fit
 from ..thresholding import (
     CurvePoint,
     ToleratedCounts,
@@ -41,9 +41,9 @@ from ..thresholding import (
     split_dataset,
     tolerated_counts,
 )
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, config_to_dict, save_config
 from .features import feature_select_topk
-from .io import load_dense_csv, load_sparse
+from .io import load_file
 from .splits import split_80_10_10
 from .synth import generate_synthetic
 
@@ -114,9 +114,7 @@ def metrics_to_csv(rows: list[MetricsRow]) -> str:
 def load_data(cfg: ExperimentConfig) -> FeatureMatrix:
     if cfg.synthetic is not None:
         return generate_synthetic(cfg.synthetic)
-    if cfg.data_format == "dense":
-        return load_dense_csv(cfg.data_path)
-    return load_sparse(cfg.data_path)
+    return load_file(cfg.data_path, cfg.data_format)
 
 
 def fit_base(kind: str, params: dict, train: FeatureMatrix, val: FeatureMatrix,
@@ -209,8 +207,7 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             tolerated = None
         else:
             tolerated = tolerated_counts(
-                cfg.tolerance.X,
-                cfg.tolerance.Y,
+                cfg.tolerance,
                 int(np.sum(val_confusion == "FP")),
                 int(np.sum(val_confusion == "FN")),
             )
@@ -294,23 +291,19 @@ def run_experiment(
         rows = [_row("base", r) for r in (base_whole, *scoped.values())]
         base_difficult = scoped.get("difficult")
 
-    skipped = None
     pipelines: dict[str, Pipeline | None] = {"guided": None, "classic": None}
-    if difficult_train.n_samples == 0:
-        skipped = "difficult training set is empty"
-    elif len(np.unique(difficult_train.labels)) < 2:
-        skipped = "difficult training set contains a single class"
-    else:
-        def difficult_report(split: str) -> PredictionReport:
+    skipped = difficult_set_problem(difficult_train)
+    if skipped is None:
+        def difficult_report(split: str, part: FeatureMatrix) -> PredictionReport:
             # the base predictions that routed the rows, not a second pass
             r, hard = prep.reports[split], ~prep.thresholds.easy(prep.routing[split])
-            return PredictionReport(r.ids[hard], r.probabilities[hard], r.predictions[hard])
+            return prediction_report(r.probabilities[hard], part.labels, r.ids[hard])
 
         def fit_guided():
-            train_report, val_report = map(difficult_report, ("train", "validation"))
             return guided_fit(
-                difficult_train, train_report, difficult_val, cfg.retrain,
-                val_report=val_report if difficult_val.n_samples else None, seed=cfg.seed,
+                difficult_train, difficult_report("train", difficult_train), difficult_val,
+                cfg.retrain, val_report=difficult_report("validation", difficult_val),
+                seed=cfg.seed,
             )
 
         def fit_classic():
@@ -402,9 +395,7 @@ def _write_bundle(result: ExperimentResult) -> None:
     for name, points in result.curves.items():
         (out / f"curve_{name}.csv").write_text(curve_to_csv(points))
     (out / "summary.json").write_text(json.dumps(result.summary, indent=2) + "\n")
-    (out / "config.json").write_text(
-        json.dumps(config_to_dict(result.config), indent=2) + "\n"
-    )
+    save_config(result.config, out / "config.json")
     if result.guided is not None:
         save(result.guided, out / "pipeline_guided.zip")
     if result.classic is not None:

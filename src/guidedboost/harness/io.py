@@ -107,6 +107,17 @@ def load_sparse(path: str | Path, n_features: int | None = None) -> FeatureMatri
     return FeatureMatrix.from_arrays(values, labels)
 
 
+DATA_FORMATS = ("dense", "sparse")
+
+
+def load_file(path: str | Path, fmt: str, n_features: int | None = None) -> FeatureMatrix:
+    """A labeled dataset file in one of DATA_FORMATS. A sparse file is read at
+    n_features columns when given; a dense file carries its own width."""
+    if fmt not in DATA_FORMATS:
+        raise ValueError(f"data format must be one of {DATA_FORMATS}, got {fmt!r}")
+    return load_dense_csv(path) if fmt == "dense" else load_sparse(path, n_features)
+
+
 def write_dense_csv(data: FeatureMatrix, path: str | Path) -> None:
     """Inverse of load_dense_csv; feature columns named f0..fN-1."""
     with open(path, "w", newline="") as fh:

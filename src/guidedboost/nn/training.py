@@ -78,21 +78,21 @@ def _epoch_rng(seed_list: list[int], epoch: int) -> np.random.Generator:
     return np.random.default_rng(seed_list + [_BATCH_STREAM, epoch])
 
 
-def _early_stopping(net, labels: np.ndarray, cfg: TrainConfig, seed, step, score) -> float:
+def _early_stopping(net, labels: np.ndarray, cfg: TrainConfig, step, score) -> float:
     """Train net epoch by epoch, keeping the parameters of the best epoch.
 
     Each epoch calls step(batch, epoch) on every stratified batch of a fresh
-    shuffle, then score(epoch) for a value to maximise (epochs count from 1).
-    The run stops after cfg.patience epochs without an improvement larger
-    than IMPROVE_TOL, or after cfg.max_epochs. Returns the best score.
+    shuffle drawn from net's seed list, then score(epoch) for a value to
+    maximise (epochs count from 1). The run stops after cfg.patience epochs
+    without an improvement larger than IMPROVE_TOL, or after cfg.max_epochs.
+    Returns the best score.
     """
     batch_size = cfg.batch_size(len(labels))
-    seed_list = [int(s) for s in np.ravel(seed)]
     best = -np.inf
     best_params = net.snapshot()
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        for batch in stratified_batches(labels, batch_size, _epoch_rng(seed_list, epoch - 1)):
+        for batch in stratified_batches(labels, batch_size, _epoch_rng(net.seed, epoch - 1)):
             step(batch, epoch)
         value = score(epoch)
         if value > best + IMPROVE_TOL:
@@ -150,9 +150,7 @@ def train_model(
         # negation is exact, so maximising -loss keeps the improvement test's bits
         return -val_loss
 
-    model.train_state.best_metric = float(
-        -_early_stopping(model, data.labels, cfg, seed, step, score)
-    )
+    model.train_state.best_metric = float(-_early_stopping(model, data.labels, cfg, step, score))
     return model
 
 
@@ -197,5 +195,5 @@ def train_auxiliary(
     def score(epoch):
         return float((head_labels(head, Xv) == yv).mean())
 
-    head.train_state.best_metric = float(_early_stopping(head, y, cfg, seed, step, score))
+    head.train_state.best_metric = float(_early_stopping(head, y, cfg, step, score))
     return head

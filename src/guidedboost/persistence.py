@@ -245,8 +245,7 @@ def _load_base(meta: _Node, blob: _Blob):
     kind = meta.get("type", "text")
     if kind == "logistic":
         return IdentityAdapter(
-            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number")),
-                        kind="logistic")
+            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number")))
         )
     if kind == "svm":
         r = meta.get("score_range", "object")
@@ -257,8 +256,7 @@ def _load_base(meta: _Node, blob: _Blob):
                     f"this build maps svm scores onto [0, 1]"
                 )
         return SvmAdapter(
-            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number")),
-                        kind="svm"),
+            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number"))),
             ScoreRange(float(r.get("f_min", "number")), float(r.get("f_max", "number"))),
         )
     if kind == "forest":

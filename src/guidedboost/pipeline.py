@@ -163,11 +163,19 @@ def _training(network: str):
         raise FloatingPointError(f"{network}: {exc}") from exc
 
 
-def _check_difficult(train: FeatureMatrix, val: FeatureMatrix, what: str):
+def difficult_set_problem(train: FeatureMatrix) -> str | None:
+    """Why the second stage cannot train on this difficult training set, or None."""
     if train.n_samples == 0:
-        raise ValueError(f"{what}: difficult training set is empty")
+        return "difficult training set is empty"
     if len(np.unique(train.labels)) < 2:
-        raise ValueError(f"{what}: difficult training set contains a single class")
+        return "difficult training set contains a single class"
+    return None
+
+
+def _check_difficult(train: FeatureMatrix, val: FeatureMatrix, what: str):
+    problem = difficult_set_problem(train)
+    if problem is not None:
+        raise ValueError(f"{what}: {problem}")
     if val.n_features != train.n_features:
         raise ValueError(f"{what}: validation feature width differs from training")
 
@@ -199,7 +207,7 @@ def guided_fit(
     base_report: PredictionReport,
     difficult_val: FeatureMatrix,
     cfg: RetrainConfig,
-    val_report: PredictionReport | None = None,
+    val_report: PredictionReport,
     *,
     seed: int,
 ) -> Stage:
@@ -216,19 +224,17 @@ def guided_fit(
         base_report: base predictions on difficult_train (ids aligned).
         difficult_val: validation samples inside the interval (may be empty).
         cfg: architecture + training regime.
-        val_report: base predictions on difficult_val; when given, each pair
-            model early-stops on its own confusion-pair validation subset.
+        val_report: base predictions on difficult_val (ids aligned). Each pair
+            model early-stops on its own confusion-pair validation subset, or
+            on all of difficult_val when that subset has fewer than 2 rows.
         seed: master seed.
     """
     _check_difficult(difficult_train, difficult_val, "guided_fit")
     check_report_alignment(base_report, difficult_train, "guided_fit")
-    if val_report is not None:
-        check_report_alignment(val_report, difficult_val, "guided_fit (validation)")
+    check_report_alignment(val_report, difficult_val, "guided_fit (validation)")
 
     tags = confusion_partition(base_report, difficult_train.labels)
-    val_tags = (
-        confusion_partition(val_report, difficult_val.labels) if val_report is not None else None
-    )
+    val_tags = confusion_partition(val_report, difficult_val.labels)
     models: list[EncoderProjectionModel | None] = []
     for k, pair in enumerate(MODEL_PAIRS, start=1):
         train_k = difficult_train.subset(np.flatnonzero(np.isin(tags, pair)))
@@ -242,11 +248,9 @@ def guided_fit(
             )
             models.append(None)
             continue
-        val_k = difficult_val
-        if val_tags is not None:
-            candidate = difficult_val.subset(np.flatnonzero(np.isin(val_tags, pair)))
-            if candidate.n_samples >= 2:
-                val_k = candidate
+        val_k = difficult_val.subset(np.flatnonzero(np.isin(val_tags, pair)))
+        if val_k.n_samples < 2:
+            val_k = difficult_val
         with _training(f"guided_fit: model {k}"):
             models.append(
                 train_model(

@@ -40,15 +40,13 @@ class ToleratedCounts:
             raise ValueError("ToleratedCounts: counts must be non-negative")
 
 
-def tolerated_counts(X: float, Y: float, fp_v: int, fn_v: int) -> ToleratedCounts:
+def tolerated_counts(tolerance: ToleranceConfig, fp_v: int, fn_v: int) -> ToleratedCounts:
     """floor(X*FP_v/100) and floor(Y*FN_v/100); floor keeps the budget honest."""
-    if not (0.0 <= X <= 100.0 and 0.0 <= Y <= 100.0):
-        raise ValueError("tolerated_counts: X and Y must lie in [0, 100]")
     if fp_v < 0 or fn_v < 0:
         raise ValueError("tolerated_counts: error counts must be non-negative")
     return ToleratedCounts(
-        tolerated_fps=math.floor(X * fp_v / 100.0),
-        tolerated_fns=math.floor(Y * fn_v / 100.0),
+        tolerated_fps=math.floor(tolerance.X * fp_v / 100.0),
+        tolerated_fns=math.floor(tolerance.Y * fn_v / 100.0),
     )
 
 

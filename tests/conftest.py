@@ -1,7 +1,19 @@
-"""Shared test helpers: dataset builders and numeric gradient checking."""
-import numpy as np
+"""Shared test helpers: dataset builders and numeric gradient checking.
 
-from guidedboost.data import FeatureMatrix
+BLAS runs one thread unless the environment sets a count, as in
+``bench/run_bench.py``. The variables are set here, before numpy loads: at
+OpenBLAS's default of one thread per core, a host with another busy process
+can stall the suite's wall-clock budgets for no fault in the code.
+"""
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+
+from guidedboost.data import FeatureMatrix, prediction_report  # noqa: E402
 
 
 def make_blobs(n_per_class=50, n_features=3, gap=6.0, scale=1.0, seed=0):
@@ -14,6 +26,19 @@ def make_blobs(n_per_class=50, n_features=3, gap=6.0, scale=1.0, seed=0):
         [np.zeros(n_per_class, dtype=np.int64), np.ones(n_per_class, dtype=np.int64)]
     )
     return FeatureMatrix.from_arrays(values, labels)
+
+
+def empty_like(data):
+    """A dataset of no rows at data's width."""
+    return FeatureMatrix(
+        values=np.empty((0, data.n_features)),
+        labels=np.empty(0, dtype=np.int64),
+        ids=np.empty(0, dtype=np.int64),
+    )
+
+
+# the base report of an empty validation set
+EMPTY_REPORT = prediction_report([], [], [])
 
 
 def numeric_gradient(f, x, h=1e-5):

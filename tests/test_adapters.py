@@ -68,8 +68,9 @@ def test_score_range_construction():
     assert r.f_min == -1.0 and r.f_max == 5.0
     with pytest.raises(ValueError):
         ScoreRange.from_scores()
-    with pytest.raises(ValueError):
-        ScoreRange.from_scores(np.array([np.nan]))
+    for bad in ([np.nan], [1.0, np.nan, -1.0], [0.0, np.inf, 1.0], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            ScoreRange.from_scores(np.array(bad))
     with pytest.raises(ValueError):
         ScoreRange(2.0, 1.0)
 
@@ -133,8 +134,6 @@ def test_logistic_adapter_is_identity():
     assert np.array_equal(
         adapter.routing_probabilities(data.values), adapter.predict_probabilities(data.values)
     )
-    with pytest.raises(ValueError):
-        IdentityAdapter(train_linear_svm(data))
 
 
 def test_forest_adapter_is_identity():
@@ -162,8 +161,6 @@ def test_svm_adapter_pools_all_populations():
     p = adapter.predict_probabilities(test.values)
     assert np.array_equal(p, adapter.routing_probabilities(test.values))
     assert np.array_equal(p >= 0.5, model.decision_scores(test.values) >= 0.0)
-    with pytest.raises(ValueError):
-        SvmAdapter(train_logistic(train), adapter.score_range)
 
 
 def test_knn_adapter_routing_and_fixed_thresholds():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from guidedboost.data import (
     CONFUSION_TAGS,
     FeatureMatrix,
-    PredictionReport,
     SplitAssignment,
     ThresholdPair,
     confusion_partition,
@@ -125,16 +124,10 @@ def test_prediction_report_factory_and_confusion():
     assert confusion_partition(rep, labels).tolist() == ["TP", "FN", "FP", "TN"]
     with pytest.raises(ValueError):
         confusion_partition(rep, labels[:3])
-
-
-def test_prediction_report_requires_consistency():
-    # prediction must equal thresholded probability
-    with pytest.raises(ValueError):
-        PredictionReport(
-            ids=np.array([0], dtype=np.int64),
-            probabilities=np.array([0.9]),
-            predictions=np.array([0], dtype=np.int64),
-        )
+    with pytest.raises(ValueError, match="equal length"):
+        prediction_report(probs, labels[:3], np.arange(4))
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        prediction_report(probs + 0.2, labels, np.arange(4))
 
 
 def test_boundary_probability_is_positive_prediction():

@@ -2,7 +2,9 @@
 import csv
 import io
 import json
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,36 @@ def test_config_defaults_from_empty_dict():
     assert cfg.feature_top_k == 0
 
 
+@pytest.mark.parametrize("edit, key", [
+    ({"feature_topk": 3}, "feature_topk"),
+    ({"tolerance": {"x": 1.0}}, "tolerance.x"),
+    ({"base": {"kind": "svm", "param": {"epochs": 3}}}, "base.param"),
+    ({"data": {"path": "d.csv", "fromat": "sparse"}}, "data.fromat"),
+    ({"data": {"synthetic": {"n_per_class": 10}, "path": "d.csv"}}, "data.path"),
+    ({"seed": 1.7}, "seed"),
+    ({"feature_top_k": 2.0}, "feature_top_k"),
+    ({"base": "svm"}, "base"),
+    (None, "config"),  # a JSON list as the whole config
+], ids=["top-level", "tolerance", "base", "data", "synthetic-and-path", "float-seed",
+        "float-top-k", "section-not-object", "list"])
+def test_config_loader_rejects_what_it_does_not_know(edit, key, tmp_path, capsys):
+    d = [] if edit is None else {"data": {"path": "d.csv"}, **edit}
+    named = rf"(?<![\w.]){re.escape(key)}(?![\w.])"
+    with pytest.raises(ValueError, match=named):
+        config_from_dict(d)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    assert main(["run", "--config", str(path)]) == 1
+    assert re.search(rf"^error: run: .*{named}", capsys.readouterr().err)
+
+
+def test_readme_quick_start_config_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    cfg = config_from_dict(json.loads(text))
+    assert (cfg.base, cfg.synthetic.n_per_class, cfg.retrain.train.max_epochs) == ("svm", 2000, 300)
+
+
 def test_save_and_load_config(tmp_path):
     cfg = _small_cfg(out_dir=str(tmp_path / "out"))
     path = tmp_path / "cfg.json"
@@ -110,6 +142,15 @@ def test_forest_counts_below_one_name_the_setting(base, setting, value):
     assert err.value.stage == "train-base"
 
 
+def test_a_run_that_cannot_retrain_says_why(tmp_path):
+    # knn's error proxy claims every training row as easy at this size
+    result = run_experiment(_small_cfg(base="knn", out_dir=str(tmp_path)))
+    assert result.skipped == "difficult training set is empty"
+    assert (result.guided, result.classic) == (None, None)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["skipped"] == result.skipped
+
+
 def test_prepare_lets_go_of_the_loaded_matrix(monkeypatch):
     loaded = []
     load_data = experiment.load_data
@@ -140,7 +181,7 @@ def test_guided_pair_tags_come_from_the_routing_reports(monkeypatch):
     seen = []
     guided_fit = experiment.guided_fit
 
-    def record(train, report, val, retrain, val_report=None, seed=None):
+    def record(train, report, val, retrain, val_report, seed):
         seen.append((train, report, val, val_report))
         return guided_fit(train, report, val, retrain, val_report=val_report, seed=seed)
 

@@ -96,13 +96,9 @@ def test_svm_determinism():
 
 
 def test_linear_model_validation():
-    with pytest.raises(ValueError):
-        LinearModel(weights=np.zeros(2), bias=0.0, kind="tree")
-    model = LinearModel(weights=np.zeros(2), bias=0.0, kind="svm")
+    model = LinearModel(weights=np.zeros(2), bias=0.0)
     with pytest.raises(ValueError):
         model.decision_scores(np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        model.predict_proba(np.zeros((3, 2)))  # svm has no native probabilities
     with pytest.raises(ValueError):
         model.weights[0] = 1.0  # frozen
 

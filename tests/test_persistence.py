@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_blobs
+from conftest import EMPTY_REPORT, empty_like, make_blobs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,14 +48,6 @@ def _data_and_report(seed=0):
     return data, prediction_report(probs, data.labels, data.ids)
 
 
-def _empty_like(data):
-    return FeatureMatrix(
-        values=np.empty((0, data.n_features)),
-        labels=np.empty(0, dtype=np.int64),
-        ids=np.empty(0, dtype=np.int64),
-    )
-
-
 def _adapter(kind, data):
     if kind == "logistic":
         return IdentityAdapter(train_logistic(data))
@@ -67,7 +59,7 @@ def _adapter(kind, data):
 
 
 def _guided_pipeline(kind, data, report, feature_selection=None, n_raw=None):
-    stage = guided_fit(data, report, _empty_like(data), CFG, seed=3)
+    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=3)
     return Pipeline(
         base=_adapter(kind, data),
         thresholds=ThresholdPair(0.35, 0.65) if kind != "knn" else ThresholdPair(0.0, 1.0),
@@ -121,7 +113,7 @@ def test_round_trip_preserves_feature_selection(tmp_path):
 def test_round_trip_with_skipped_models(tmp_path):
     data = make_blobs(n_per_class=12, n_features=3, seed=5)
     report = prediction_report(np.full(data.n_samples, 0.8), data.labels, data.ids)
-    stage = guided_fit(data, report, _empty_like(data), CFG, seed=0)
+    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
     assert any(m is None for m in stage.models_1_to_4)
     pipe = Pipeline(
         base=_adapter("logistic", data),
@@ -142,7 +134,7 @@ def test_round_trip_with_skipped_models(tmp_path):
 
 def test_classic_round_trip(tmp_path):
     data, _ = _data_and_report(seed=2)
-    stage = classic_fit(data, _empty_like(data), CFG, seed=4)
+    stage = classic_fit(data, empty_like(data), CFG, seed=4)
     pipe = Pipeline(
         base=_adapter("svm", data),
         thresholds=ThresholdPair(0.4, 0.6),

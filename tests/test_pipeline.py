@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_blobs, stray_arrays
+from conftest import EMPTY_REPORT, empty_like, make_blobs, stray_arrays
 
 from guidedboost.classifiers.linear import train_logistic
 from guidedboost.classifiers.adapters import IdentityAdapter
@@ -67,18 +67,10 @@ def test_guided_fit_trains_all_pairs_when_cells_populated():
     tags = confusion_partition(report, data.labels)
     # fixture sanity: every pairing can train
     assert set(tags.tolist()) == {"TP", "FP", "TN", "FN"}
-    stage = guided_fit(data, report, _empty_like(data), CFG, seed=1)
+    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=1)
     assert all(m is not None for m in stage.models_1_to_4)
     assert stage.model.input_width == 4 * CFG.encoder.out_width
     assert stage.auxiliary.input_width == CFG.encoder.out_width
-
-
-def _empty_like(data):
-    return FeatureMatrix(
-        values=np.empty((0, data.n_features)),
-        labels=np.empty(0, dtype=np.int64),
-        ids=np.empty(0, dtype=np.int64),
-    )
 
 
 def test_guided_fit_skips_pairs_with_empty_cells(caplog):
@@ -86,7 +78,7 @@ def test_guided_fit_skips_pairs_with_empty_cells(caplog):
     # base predicts positive everywhere: only TP and FP cells are populated
     report = prediction_report(np.full(data.n_samples, 0.8), data.labels, data.ids)
     with caplog.at_level(logging.WARNING, logger="guidedboost.pipeline"):
-        stage = guided_fit(data, report, _empty_like(data), CFG, seed=0)
+        stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
     assert stage.models_1_to_4[0] is not None  # TP+FP trains
     assert stage.models_1_to_4[1] is None  # TN+FN both empty
     assert stage.models_1_to_4[2] is None  # TN empty
@@ -104,20 +96,37 @@ def test_guided_fit_skips_pairs_with_empty_cells(caplog):
 def test_guided_fit_validation_errors():
     data, report = _difficult_setup()
     with pytest.raises(ValueError):
-        guided_fit(_empty_like(data), report, _empty_like(data), CFG, seed=0)
+        guided_fit(empty_like(data), report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
     single = FeatureMatrix(values=data.values, labels=np.zeros(data.n_samples, dtype=np.int64), ids=data.ids)
     rep_single = prediction_report(np.full(data.n_samples, 0.8), single.labels, single.ids)
     with pytest.raises(ValueError):
-        guided_fit(single, rep_single, _empty_like(data), CFG, seed=0)
+        guided_fit(single, rep_single, empty_like(data), CFG, EMPTY_REPORT, seed=0)
     shifted = FeatureMatrix(values=data.values, labels=data.labels, ids=data.ids + 500)
     with pytest.raises(ValueError):
-        guided_fit(shifted, report, _empty_like(data), CFG, seed=0)
+        guided_fit(shifted, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
+
+
+@pytest.mark.parametrize("labels, problem", [
+    ([], "difficult training set is empty"),
+    ([1, 1, 1], "difficult training set contains a single class"),
+    ([0, 1, 1], None),
+], ids=["empty", "one-class", "trainable"])
+def test_one_rule_decides_whether_the_second_stage_trains(labels, problem):
+    train = FeatureMatrix.from_arrays(np.zeros((len(labels), 3)), labels)
+    assert pipeline.difficult_set_problem(train) == problem
+    if problem is None:
+        return
+    report = prediction_report(np.full(len(labels), 0.6), train.labels, train.ids)
+    with pytest.raises(ValueError, match=f"^guided_fit: {problem}$"):
+        guided_fit(train, report, empty_like(train), CFG, EMPTY_REPORT, seed=0)
+    with pytest.raises(ValueError, match=f"^classic_fit: {problem}$"):
+        classic_fit(train, empty_like(train), CFG, seed=0)
 
 
 def test_guided_fit_deterministic():
     data, report = _difficult_setup(seed=3)
-    s1 = guided_fit(data, report, _empty_like(data), CFG, seed=5)
-    s2 = guided_fit(data, report, _empty_like(data), CFG, seed=5)
+    s1 = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=5)
+    s2 = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=5)
     e1 = s1.model.embed(concat_embeddings(s1.models_1_to_4, data.values, CFG.encoder.out_width))
     e2 = s2.model.embed(concat_embeddings(s2.models_1_to_4, data.values, CFG.encoder.out_width))
     assert np.array_equal(e1, e2)
@@ -126,15 +135,15 @@ def test_guided_fit_deterministic():
 
 def test_classic_fit_shapes_and_determinism():
     data, _ = _difficult_setup(seed=4)
-    c1 = classic_fit(data, _empty_like(data), CFG, seed=2)
-    c2 = classic_fit(data, _empty_like(data), CFG, seed=2)
+    c1 = classic_fit(data, empty_like(data), CFG, seed=2)
+    c2 = classic_fit(data, empty_like(data), CFG, seed=2)
     assert c1.models_1_to_4 == ()
     assert c1.model.embedding_width == CFG.encoder.out_width
     assert c1.auxiliary.input_width == CFG.encoder.out_width
     assert np.array_equal(c1.model.embed(data.values), c2.model.embed(data.values))
     assert np.array_equal(c1.embed(data.values), c1.model.embed(data.values))
     with pytest.raises(ValueError):
-        classic_fit(_empty_like(data), _empty_like(data), CFG, seed=0)
+        classic_fit(empty_like(data), empty_like(data), CFG, seed=0)
 
 
 def test_non_finite_training_names_the_model_and_epoch():
@@ -145,14 +154,14 @@ def test_non_finite_training_names_the_model_and_epoch():
     )
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match=r"^guided_fit: model 1: .* at epoch 1$"):
-            guided_fit(huge, report, _empty_like(data), CFG, seed=0)
+            guided_fit(huge, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
         with pytest.raises(FloatingPointError, match=r"^classic_fit: classic model: .* epoch 1$"):
-            classic_fit(huge, _empty_like(data), CFG, seed=0)
+            classic_fit(huge, empty_like(data), CFG, seed=0)
 
 
 def _fitted_guided_pipeline(seed=0):
     data, report = _difficult_setup(seed=seed)
-    stage = guided_fit(data, report, _empty_like(data), CFG, seed=seed)
+    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=seed)
     base = IdentityAdapter(train_logistic(data))
     return data, Pipeline(
         base=base,
@@ -221,7 +230,7 @@ def test_guided_pipeline_structural_validation():
 
 def test_classic_pipeline_predicts():
     data, _ = _difficult_setup(seed=10)
-    stage = classic_fit(data, _empty_like(data), CFG, seed=1)
+    stage = classic_fit(data, empty_like(data), CFG, seed=1)
     base = IdentityAdapter(train_logistic(data))
     pipe = Pipeline(
         base=base,
@@ -433,9 +442,12 @@ def _fake_training(monkeypatch, stage, on_call=lambda tag, outputs: None):
 
 def _fit(guided, train, val):
     if guided:
-        probs = np.random.default_rng(2).uniform(0.01, 0.99, train.n_samples)
-        report = prediction_report(probs, train.labels, train.ids)
-        return guided_fit(train, report, val, RetrainConfig(), seed=0)
+        report, val_report = (
+            prediction_report(np.random.default_rng(seed).uniform(0.01, 0.99, part.n_samples),
+                              part.labels, part.ids)
+            for seed, part in ((2, train), (3, val))
+        )
+        return guided_fit(train, report, val, RetrainConfig(), val_report, seed=0)
     return classic_fit(train, val, RetrainConfig(), seed=0)
 
 
@@ -510,7 +522,7 @@ def _stage_layers(stage):
 
 def _trained_model():
     data, _ = _difficult_setup(seed=2)
-    return _layers(train_model(data, _empty_like(data), CFG.train, CFG.encoder, CFG.projection,
+    return _layers(train_model(data, empty_like(data), CFG.train, CFG.encoder, CFG.projection,
                                seed=1))
 
 
@@ -522,12 +534,12 @@ def _trained_head():
 
 def _guided_stage():
     data, report = _difficult_setup(seed=4)
-    return _stage_layers(guided_fit(data, report, _empty_like(data), CFG, seed=1))
+    return _stage_layers(guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=1))
 
 
 def _classic_stage():
     data, _ = _difficult_setup(seed=5)
-    return _stage_layers(classic_fit(data, _empty_like(data), CFG, seed=1))
+    return _stage_layers(classic_fit(data, empty_like(data), CFG, seed=1))
 
 
 def _loaded_stages():

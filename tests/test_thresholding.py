@@ -64,7 +64,7 @@ def random_instance(rng, n_max=200):
     labels = rng.integers(0, 2, size=n)
     confusion = confusion_partition(prediction_report(probs, labels, np.arange(n)), labels)
     tol = tolerated_counts(
-        float(rng.uniform(0, 100)), float(rng.uniform(0, 100)),
+        ToleranceConfig(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
         int(np.sum(confusion == "FP")), int(np.sum(confusion == "FN")),
     )
     return probs, confusion, tol
@@ -82,20 +82,21 @@ def tags(n, fp=(), fn=()):
 # ------------------------------------------------------- tolerated counts
 
 def test_tolerated_counts_arithmetic():
-    assert tolerated_counts(5, 5, 140, 0).tolerated_fps == 7
-    assert tolerated_counts(0, 0, 1000, 1000) == ToleratedCounts(0, 0)
-    assert tolerated_counts(100, 100, 33, 12) == ToleratedCounts(33, 12)
+    assert tolerated_counts(ToleranceConfig(5, 5), 140, 0).tolerated_fps == 7
+    assert tolerated_counts(ToleranceConfig(0, 0), 1000, 1000) == ToleratedCounts(0, 0)
+    assert tolerated_counts(ToleranceConfig(100, 100), 33, 12) == ToleratedCounts(33, 12)
     # floor, not round: 2.5% of 99 = 2.475
-    assert tolerated_counts(2.5, 2.5, 99, 99) == ToleratedCounts(2, 2)
+    assert tolerated_counts(ToleranceConfig(2.5, 2.5), 99, 99) == ToleratedCounts(2, 2)
 
 
 def test_tolerated_counts_validation():
-    with pytest.raises(ValueError):
-        tolerated_counts(101, 5, 10, 10)
-    with pytest.raises(ValueError):
-        tolerated_counts(5, -1, 10, 10)
-    with pytest.raises(ValueError):
-        tolerated_counts(5, 5, -1, 10)
+    # the tolerance range is ToleranceConfig's check; the counts are tolerated_counts'
+    with pytest.raises(ValueError, match=r"must lie in \[0, 100\]"):
+        ToleranceConfig(101, 5)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 100\]"):
+        ToleranceConfig(5, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        tolerated_counts(ToleranceConfig(5, 5), -1, 10)
     with pytest.raises(ValueError):
         ToleranceConfig(X=150)
     with pytest.raises(ValueError):
