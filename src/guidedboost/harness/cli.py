@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..pipeline import ROUTE_AUXILIARY, ROUTE_BASE, pipeline_predict
 from ..thresholding import curve_to_csv
 from .config import ExperimentConfig, load_config
 from .experiment import StageError, load_data, metrics_to_csv, prepare, run_experiment
-from .io import DATA_FORMATS, load_file, write_dense_csv
+from .io import DATA_FORMATS, load_file, output_dir, write_dense_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,12 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_cfg(args) -> ExperimentConfig:
     if not args.config:
         raise ValueError(f"{args.command} requires --config")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    # replace() runs ExperimentConfig's checks on the overrides too
+    return replace(load_config(args.config),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _print_report(label: str, rep) -> None:
@@ -72,9 +70,7 @@ def _cmd_train_base(args) -> int:
             f"{name},{rep.n},{rep.accuracy:.6f},{rep.f1:.6f},{rep.fp},{rep.fn}"
         )
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "base_metrics.csv").write_text("\n".join(lines) + "\n")
+        (output_dir(cfg.out_dir) / "base_metrics.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -90,8 +86,7 @@ def _cmd_calibrate(args) -> int:
     else:
         print("thresholds fixed by the base classifier")
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = output_dir(cfg.out_dir)
         payload = {
             "th_n": prep.thresholds.th_n,
             "th_p": prep.thresholds.th_p,
@@ -117,9 +112,7 @@ def _cmd_split(args) -> int:
         for i in sorted(a.difficult_ids):
             lines.append(f"{name},{i},difficult")
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "assignments.csv").write_text("\n".join(lines) + "\n")
+        (output_dir(cfg.out_dir) / "assignments.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -142,9 +135,7 @@ def _cmd_synth(args) -> int:
     if not cfg.out_dir:
         raise ValueError("synth requires an output directory (--out or out_dir)")
     data = load_data(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "synthetic.csv"
+    path = output_dir(cfg.out_dir) / "synthetic.csv"
     write_dense_csv(data, path)
     print(f"wrote {data.n_samples} samples x {data.n_features} features to {path}")
     return 0
@@ -175,10 +166,9 @@ def _cmd_predict(args) -> int:
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "predictions.csv").write_text(text)
-        print(f"wrote {len(preds)} predictions to {out / 'predictions.csv'}")
+        path = output_dir(args.out) / "predictions.csv"
+        path.write_text(text)
+        print(f"wrote {len(preds)} predictions to {path}")
     else:
         print(text, end="")
     return 0

@@ -9,6 +9,7 @@ from ..nn.network import encoder_spec, projection_spec
 from ..nn.training import TrainConfig
 from ..pipeline import RetrainConfig
 from ..thresholding import ToleranceConfig
+from ..typed_json import Node
 from .io import DATA_FORMATS
 
 BASE_KINDS = ("logistic", "svm", "forest", "knn")
@@ -72,7 +73,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if (self.data_path is None) == (self.synthetic is None):
-            raise ValueError("ExperimentConfig: set exactly one of data_path / synthetic")
+            raise ValueError(
+                "ExperimentConfig: set exactly one data source, data_path or synthetic"
+            )
         if self.data_format not in DATA_FORMATS:
             raise ValueError(f"ExperimentConfig: data_format must be one of {DATA_FORMATS}")
         if self.base not in BASE_KINDS:
@@ -81,12 +84,10 @@ class ExperimentConfig:
         if len(f) != 3 or min(f) <= 0.0 or abs(sum(f) - 1.0) > 1e-9:
             raise ValueError("ExperimentConfig: fractions must be three positives summing to 1")
         self.fractions = f
-        for name in ("feature_top_k", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"ExperimentConfig: {name} must be an integer, got {value!r}")
         if self.feature_top_k < 0:
             raise ValueError("ExperimentConfig: feature_top_k must be >= 0 (0 disables)")
+        if self.seed < 0:
+            raise ValueError(f"ExperimentConfig: seed must be >= 0, found {self.seed}")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -108,60 +109,49 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def _object(value, path: str, known: tuple[str, ...] | None = None) -> dict:
-    """value, checked to be a JSON object whose keys are all in known (any key
-    when known is None); errors name the key path."""
-    if not isinstance(value, dict):
-        where = f"config key {path}" if path else "config"
-        raise ValueError(f"{where} must be a JSON object, found {type(value).__name__}")
-    for key in value:
-        if known is not None and key not in known:
-            where = f"{path}.{key}" if path else key
-            raise ValueError(
-                f"unknown config key {where}: {key!r} is not one of {', '.join(known)}"
-            )
-    return value
+# the kind (typed_json.KINDS) of a dataclass field of each annotation
+_FIELD_KINDS = {"int": "count", "float": "number", "bool": "flag"}
 
 
-def _dataclass(cls, value, path: str):
-    """cls, built from the config object at path, which may hold only cls's fields."""
-    return cls(**_object(value, path, tuple(f.name for f in fields(cls))))
+def _dataclass(cls, node: Node):
+    """cls, built from the config object node, which may hold only cls's
+    fields, each of the kind its annotation names."""
+    kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
+    return cls(**node.only(kinds).read(kinds))
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
+def config_from_dict(d) -> ExperimentConfig:
     """The config that config_to_dict wrote. Only the keys present are passed
-    on, so every default is its dataclass's; an unknown key is an error."""
-    d = _object(d, "", _CONFIG_KEYS)
-    kwargs: dict = {}
-    data = _object(d.get("data", {}), "data", ("synthetic", "path", "format"))
-    if "synthetic" in data:
-        extra = sorted(data.keys() - {"synthetic"})
+    on, so every default is its dataclass's; an unknown key, or a value not of
+    its key's kind, is an error that names the key."""
+    cfg = Node.root(d, "config").only(_CONFIG_KEYS)
+    kwargs = cfg.read(
+        {"fractions": "numbers", "feature_top_k": "count", "seed": "count",
+         "out_dir": "text or null"}
+    )
+    data = cfg.get("data", "object", {}).only(("synthetic", "path", "format"))
+    if "synthetic" in data.obj:
+        extra = sorted(data.obj.keys() - {"synthetic"})
         if extra:
             raise ValueError(f"config key data.{extra[0]} cannot be set with data.synthetic")
-        kwargs["synthetic"] = _dataclass(SyntheticSpec, data["synthetic"], "data.synthetic")
-    for key, name in (("path", "data_path"), ("format", "data_format")):
-        if key in data:
-            kwargs[name] = data[key]
-    if "base" in d:
-        base = _object(d["base"], "base", ("kind", "params"))
-        if "kind" in base:
-            kwargs["base"] = base["kind"]
-        if "params" in base:
-            kwargs["base_params"] = dict(_object(base["params"], "base.params"))
-    if "tolerance" in d:
-        kwargs["tolerance"] = _dataclass(ToleranceConfig, d["tolerance"], "tolerance")
-    if "fractions" in d:
-        kwargs["fractions"] = tuple(d["fractions"])
-    for key in ("feature_top_k", "seed", "out_dir"):
-        if key in d:
-            kwargs[key] = d[key]
-    retrain: dict = {}
-    if "encoder_widths" in d:
-        retrain["encoder"] = encoder_spec(d["encoder_widths"])
-    if "projection_widths" in d:
-        retrain["projection"] = projection_spec(d["projection_widths"])
-    if "train" in d:
-        retrain["train"] = _dataclass(TrainConfig, d["train"], "train")
+        kwargs["synthetic"] = _dataclass(SyntheticSpec, data.get("synthetic", "object"))
+    for key, value in data.read({"path": "text", "format": "text"}).items():
+        kwargs[f"data_{key}"] = value
+    base = cfg.get("base", "object", {}).only(("kind", "params"))
+    if "kind" in base.obj:
+        kwargs["base"] = base.get("kind", "text")
+    if "params" in base.obj:
+        kwargs["base_params"] = dict(base.get("params", "object").obj)
+    kwargs["tolerance"] = _dataclass(ToleranceConfig, cfg.get("tolerance", "object", {}))
+    retrain = {"train": _dataclass(TrainConfig, cfg.get("train", "object", {}))}
+    for name, spec in (("encoder", encoder_spec), ("projection", projection_spec)):
+        key = f"{name}_widths"
+        if key in cfg.obj:
+            widths = cfg.get(key, "counts")
+            try:
+                retrain[name] = spec(widths)
+            except ValueError as exc:  # MlpSpec's range checks
+                raise ValueError(f"config key {key}: {exc}") from None
     return ExperimentConfig(retrain=RetrainConfig(**retrain), **kwargs)
 
 

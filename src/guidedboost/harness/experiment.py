@@ -12,7 +12,6 @@ import io
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from ..thresholding import (
 )
 from .config import ExperimentConfig, config_to_dict, save_config
 from .features import feature_select_topk
-from .io import load_file
+from .io import load_file, output_dir
 from .splits import split_80_10_10
 from .synth import generate_synthetic
 
@@ -389,8 +388,7 @@ def run_experiment(
 
 
 def _write_bundle(result: ExperimentResult) -> None:
-    out = Path(result.config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(result.config.out_dir)
     (out / "metrics.csv").write_text(metrics_to_csv(result.rows))
     for name, points in result.curves.items():
         (out / f"curve_{name}.csv").write_text(curve_to_csv(points))

@@ -1,7 +1,7 @@
-"""Dataset loaders: dense CSV and sparse index:value text.
+"""Dataset files, dense CSV and sparse index:value text, and the output directory.
 
-Both assign ids by row order (0-based, header excluded) and densify to the
-shared FeatureMatrix type. Parse failures name the offending line.
+Both loaders assign ids by row order (0-based, header excluded) and densify
+to the shared FeatureMatrix type. Parse failures name the offending line.
 """
 from __future__ import annotations
 
@@ -125,3 +125,10 @@ def write_dense_csv(data: FeatureMatrix, path: str | Path) -> None:
         writer.writerow([f"f{i}" for i in range(data.n_features)] + ["label"])
         for row, label in zip(data.values, data.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+def output_dir(path: str | Path) -> Path:
+    """path, created with its parents if missing: the directory a command writes into."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out

@@ -13,7 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 
-class Linear:
+class Layer:
+    """What a layer holds by default: no parameters, and state arrays that are
+    its parameters."""
+
+    def parameters(self):
+        return []
+
+    def gradients(self):
+        return []
+
+    def state_arrays(self):
+        return self.parameters()
+
+
+class Linear(Layer):
     """Affine layer y = x W + b with He-style uniform init."""
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator):
@@ -53,11 +67,8 @@ class Linear:
         grads, self.gW, self.gb = [self.gW, self.gb], None, None
         return grads
 
-    def state_arrays(self):
-        return [self.W, self.b]
 
-
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-feature normalization with running statistics for eval mode.
 
     Training uses biased batch variance; running stats keep momentum * old +
@@ -135,7 +146,7 @@ class BatchNorm:
         return [self.gamma, self.beta, self.running_mean, self.running_var]
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self):
         self._mask: np.ndarray | None = None
 
@@ -150,15 +161,6 @@ class ReLU:
             raise RuntimeError("ReLU.backward: no training-mode forward cached")
         return grad * mask
 
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def state_arrays(self):
-        return []
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: exp only ever sees non-positive input."""
@@ -170,7 +172,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class Sigmoid:
+class Sigmoid(Layer):
     def __init__(self):
         self._out: np.ndarray | None = None
 
@@ -186,17 +188,8 @@ class Sigmoid:
             raise RuntimeError("Sigmoid.backward: no training-mode forward cached")
         return grad * out * (1.0 - out)
 
-    def parameters(self):
-        return []
 
-    def gradients(self):
-        return []
-
-    def state_arrays(self):
-        return []
-
-
-class L2Normalize:
+class L2Normalize(Layer):
     """Row-wise projection onto the unit sphere; zero rows pass through as zero."""
 
     def __init__(self, eps: float = 1e-12):
@@ -218,12 +211,3 @@ class L2Normalize:
             raise RuntimeError("L2Normalize.backward: no training-mode forward cached")
         dot = np.einsum("ij,ij->i", x, grad)[:, None]
         return grad / r - x * dot / r**3
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def state_arrays(self):
-        return []

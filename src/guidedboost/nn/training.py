@@ -40,7 +40,7 @@ class TrainConfig:
         if min(self.max_epochs, self.patience, self.batch_divisor) < 1:
             raise ValueError("TrainConfig: counts must be positive")
         if self.learning_rate <= 0.0 or self.temperature <= 0.0:
-            raise ValueError("TrainConfig: learning rate and temperature must be positive")
+            raise ValueError("TrainConfig: learning_rate and temperature must be positive")
 
     def batch_size(self, n: int) -> int:
         return max(2, n // self.batch_divisor)

@@ -13,11 +13,12 @@ deflate, and compressing them cost most of a save. Archives written with
 deflated members, as earlier releases did, still load. Every member carries
 one fixed timestamp, so a pipeline always saves to the same bytes. Loading
 validates the format tag, the version, every blob's dtype and byte length, and
-the type of every other manifest value (``_KINDS``, read through
-``_Node.get``, which names the key), so truncation, foreign files and hand
-edits fail with a diagnostic instead of garbage predictions. A member whose
-bytes are damaged (a bad CRC-32, a broken header, a flag or compression
-method the reader refuses) fails with a ValueError that names it.
+the type of every other manifest value, read through ``typed_json.Node``: the
+typed reader the config loader shares, whose errors name the key. So
+truncation, foreign files and hand edits fail with a diagnostic instead of
+garbage predictions. A member whose bytes are damaged (a bad CRC-32, a broken
+header, a flag or compression method the reader refuses) fails with a
+ValueError that names it.
 
 Save and load hold one blob at a time. ``save`` writes each blob straight
 from its array's memory. ``load`` checks every blob's dtype and byte length
@@ -27,7 +28,6 @@ its array only when the network or base that owns it is built.
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -43,6 +43,7 @@ from .classifiers.linear import LinearModel
 from .data import ThresholdPair
 from .nn.network import MLP, EncoderProjectionModel, MlpSpec
 from .pipeline import Pipeline, Stage
+from .typed_json import Node
 
 FORMAT_TAG = "guidedboost-pipeline"
 FORMAT_VERSION = 1
@@ -60,58 +61,6 @@ _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 _READ_CHUNK = 1 << 20
 # reads one blob by name, as the array its manifest entry describes
 _Blob = Callable[[str], np.ndarray]
-# what a manifest value of each kind must be, as (test, description); JSON
-# gives exact Python types, and a bool is neither a number nor a count here.
-# json.loads also reads NaN and Infinity, which no stored number may be.
-_KINDS = {
-    "number": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
-    "count": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    "positive": (lambda v: type(v) is int and v > 0, "a positive integer"),
-    "flag": (lambda v: type(v) is bool, "true or false"),
-    "text": (lambda v: type(v) is str, "a string"),
-    "texts": (lambda v: type(v) is list and all(type(e) is str for e in v), "a list of strings"),
-    "counts": (
-        lambda v: type(v) is list and all(type(e) is int and e >= 0 for e in v),
-        "a list of non-negative integers",
-    ),
-    "seed": (lambda v: type(v) is list and all(type(e) is int for e in v), "a list of integers"),
-    "object": (lambda v: type(v) is dict, "an object"),
-    "four": (
-        lambda v: type(v) is list and len(v) == 4 and all(type(e) is dict for e in v),
-        "a list of 4 objects",
-    ),
-}
-
-
-class _Node:
-    """A manifest object with its key path, such as ``model_5.encoder``."""
-
-    def __init__(self, obj: dict, path: str = ""):
-        self.obj = obj
-        self.path = path
-
-    def get(self, name: str, kind: str, default: _Node | None = None):
-        """The value under name, checked to be of kind; errors name the key.
-
-        An "object" comes back as a _Node, and each entry of a "four" list too.
-        A missing name is an error unless a default is given.
-        """
-        key = f"{self.path}.{name}" if self.path else name
-        if name not in self.obj:
-            if default is None:
-                raise ValueError(f"pipeline manifest is missing key {key!r}")
-            return default
-        value = self.obj[name]
-        ok, expected = _KINDS[kind]
-        if not ok(value):
-            raise ValueError(f"pipeline manifest key {key} must be {expected}, found {value!r}")
-        if kind == "object":
-            return _Node(value, key)
-        if kind == "four":
-            return [_Node(entry, f"{key}[{i}]") for i, entry in enumerate(value)]
-        return value
-
-
 class _ArrayStore:
     """The arrays table of a manifest, and the arrays its blobs are written from."""
 
@@ -140,7 +89,7 @@ def _spec_to_json(spec: MlpSpec) -> dict:
     }
 
 
-def _spec_from_json(d: _Node) -> MlpSpec:
+def _spec_from_json(d: Node) -> MlpSpec:
     return MlpSpec(
         layer_widths=tuple(d.get("layer_widths", "counts")),
         normalize=tuple(d.get("normalize", "texts")),
@@ -156,7 +105,7 @@ def _store_arrays(store: _ArrayStore, prefix: str, net: MLP) -> int:
     return len(arrays)
 
 
-def _load_arrays(net: MLP, meta: _Node, blob: _Blob, prefix: str) -> MLP:
+def _load_arrays(net: MLP, meta: Node, blob: _Blob, prefix: str) -> MLP:
     """net, holding the ``n_arrays`` blobs ``{prefix}_a{i}`` that meta counts."""
     n_arrays, own = meta.get("n_arrays", "count"), len(net.state_arrays())
     if n_arrays != own:
@@ -179,7 +128,7 @@ def _store_model(store: _ArrayStore, prefix: str, model: EncoderProjectionModel)
     }
 
 
-def _load_model(meta: _Node, blob: _Blob, prefix: str) -> EncoderProjectionModel:
+def _load_model(meta: Node, blob: _Blob, prefix: str) -> EncoderProjectionModel:
     model = EncoderProjectionModel(
         meta.get("input_width", "count"),
         _spec_from_json(meta.get("encoder", "object")),
@@ -198,7 +147,7 @@ def _store_auxiliary(store: _ArrayStore, head: MLP) -> dict:
     }
 
 
-def _load_auxiliary(meta: _Node, blob: _Blob) -> MLP:
+def _load_auxiliary(meta: Node, blob: _Blob) -> MLP:
     head = MLP(
         meta.get("input_width", "count"),
         _spec_from_json(meta.get("spec", "object")),
@@ -241,7 +190,7 @@ def _store_base(store: _ArrayStore, base) -> dict:
     raise ValueError(f"cannot serialize base adapter of type {type(base).__name__}")
 
 
-def _load_base(meta: _Node, blob: _Blob):
+def _load_base(meta: Node, blob: _Blob):
     kind = meta.get("type", "text")
     if kind == "logistic":
         return IdentityAdapter(
@@ -320,7 +269,7 @@ def _zip_errors(what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _blob_reader(zf: zipfile.ZipFile, table: _Node) -> _Blob:
+def _blob_reader(zf: zipfile.ZipFile, table: Node) -> _Blob:
     """Check every blob that table lists against the zip directory: its member
     exists, its dtype is known, and its byte length fits its shape. Returns
     the function that reads one blob, by name, when it is needed."""
@@ -372,31 +321,25 @@ def load(path) -> Pipeline:
         except KeyError:
             raise ValueError("pipeline container has no manifest.json") from None
         try:
-            manifest = json.loads(raw)
+            obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"pipeline manifest is corrupt: {exc}") from None
-        if not isinstance(manifest, dict):
-            raise ValueError(
-                f"pipeline manifest is not a JSON object (found {type(manifest).__name__})"
-            )
-        if manifest.get("format") != FORMAT_TAG:
-            raise ValueError(
-                f"not a pipeline container (format tag {manifest.get('format')!r})"
-            )
-        version = manifest.get("version")
+        manifest = Node.root(obj, "pipeline manifest")
+        if obj.get("format") != FORMAT_TAG:
+            raise ValueError(f"not a pipeline container (format tag {obj.get('format')!r})")
+        version = obj.get("version")
         if type(version) is not int or version != FORMAT_VERSION:  # true == 1 in Python
             raise ValueError(
                 f"unsupported pipeline container version {version!r}; "
                 f"this build reads version {FORMAT_VERSION}"
             )
-        manifest = _Node(manifest)
         try:
             return _from_manifest(manifest, _blob_reader(zf, manifest.get("arrays", "object")))
         except KeyError as exc:  # a blob the manifest's arrays table does not list
             raise ValueError(f"pipeline manifest is missing key {exc.args[0]!r}") from None
 
 
-def _from_manifest(manifest: _Node, blob: _Blob) -> Pipeline:
+def _from_manifest(manifest: Node, blob: _Blob) -> Pipeline:
     kind = manifest.get("kind", "text")
     if kind not in _MODEL_KEYS:
         raise ValueError(f"unknown pipeline kind {kind!r} in manifest")
@@ -425,5 +368,5 @@ def _from_manifest(manifest: _Node, blob: _Blob) -> Pipeline:
         feature_selection=(
             blob("feature_selection") if manifest.get("feature_selection", "flag") else None
         ),
-        metadata=manifest.get("metadata", "object", _Node({})).obj,
+        metadata=manifest.get("metadata", "object", {}).obj,
     )

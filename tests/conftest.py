@@ -1,10 +1,11 @@
-"""Shared test helpers: dataset builders and numeric gradient checking.
+"""Shared test helpers: dataset builders, JSON edits and numeric gradient checking.
 
 BLAS runs one thread unless the environment sets a count, as in
 ``bench/run_bench.py``. The variables are set here, before numpy loads: at
 OpenBLAS's default of one thread per core, a host with another busy process
 can stall the suite's wall-clock budgets for no fault in the code.
 """
+import copy
 import os
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -39,6 +40,32 @@ def empty_like(data):
 
 # the base report of an empty validation set
 EMPTY_REPORT = prediction_report([], [], [])
+
+
+def json_paths(node, path=()):
+    """The path, a tuple of keys and list indices, of every value inside node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+def json_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def json_edited(node, path, value):
+    """A copy of node with the value at path replaced by value."""
+    node = copy.deepcopy(node)
+    json_at(node, path[:-1])[path[-1]] = value
+    return node
 
 
 def numeric_gradient(f, x, h=1e-5):

@@ -8,7 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import json_edited, json_paths
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from guidedboost.harness import cli
 from guidedboost.harness.cli import main
 from guidedboost.harness.config import (
     ExperimentConfig,
@@ -76,11 +80,22 @@ def test_config_defaults_from_empty_dict():
     ({"feature_top_k": 2.0}, "feature_top_k"),
     ({"base": "svm"}, "base"),
     (None, "config"),  # a JSON list as the whole config
+    ({"data": {"synthetic": {"planted": "no"}}}, "data.synthetic.planted"),
+    ({"fractions": ["0.8", "0.1", "0.1"]}, "fractions"),
+    ({"encoder_widths": ["8"]}, "encoder_widths"),
+    ({"encoder_widths": 5}, "encoder_widths"),
+    ({"train": {"max_epochs": 2.5}}, "train.max_epochs"),
+    ({"train": {"max_epochs": "5"}}, "train.max_epochs"),
+    ({"tolerance": {"X": "5"}}, "tolerance.X"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"seed": -1}, "seed"),
 ], ids=["top-level", "tolerance", "base", "data", "synthetic-and-path", "float-seed",
-        "float-top-k", "section-not-object", "list"])
+        "float-top-k", "section-not-object", "list", "string-planted", "string-fractions",
+        "string-widths", "int-widths", "float-epochs", "string-epochs", "string-tolerance",
+        "int-out-dir", "negative-seed"])
 def test_config_loader_rejects_what_it_does_not_know(edit, key, tmp_path, capsys):
     d = [] if edit is None else {"data": {"path": "d.csv"}, **edit}
-    named = rf"(?<![\w.]){re.escape(key)}(?![\w.])"
+    named = _named(key)
     with pytest.raises(ValueError, match=named):
         config_from_dict(d)
     path = tmp_path / "cfg.json"
@@ -89,11 +104,40 @@ def test_config_loader_rejects_what_it_does_not_know(edit, key, tmp_path, capsys
     assert re.search(rf"^error: run: .*{named}", capsys.readouterr().err)
 
 
+def _named(key):
+    """A pattern that finds key as a whole word, not as part of a longer key path."""
+    return rf"(?<![\w.]){re.escape(key)}(?![\w.])"
+
+
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+QUICK_START = json.loads(
+    _README.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+)
+# every value in the quick-start config but those inside base.params, which
+# the base model checks when it is trained
+_QUICK_START_PATHS = [
+    p for p in json_paths(QUICK_START) if len(p) <= 2 or p[:2] != ("base", "params")
+]
+
+
 def test_readme_quick_start_config_loads():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    text = readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
-    cfg = config_from_dict(json.loads(text))
+    cfg = config_from_dict(QUICK_START)
     assert (cfg.base, cfg.synthetic.n_per_class, cfg.retrain.train.max_epochs) == ("svm", 2000, 300)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.sampled_from(_QUICK_START_PATHS),
+       value=st.sampled_from([None, "x", -1, 2.5, [], {}, True]))
+def test_an_edited_quick_start_config_loads_or_names_the_key(path, value):
+    """One value of the quick-start config replaced: the config loads, or the
+    ValueError names the key path or a key on it (the section, or the key
+    itself as a dataclass's range check spells it)."""
+    keys = [k for k in path if isinstance(k, str)]
+    try:
+        config_from_dict(json_edited(QUICK_START, path, value))
+    except ValueError as exc:
+        names = [".".join(keys), *keys]
+        assert any(re.search(_named(k), str(exc)) for k in names), (path, value, str(exc))
 
 
 def test_save_and_load_config(tmp_path):
@@ -359,3 +403,12 @@ def test_cli_seed_override(run_dir, tmp_path, capsys):
     assert main(["calibrate", "--config", str(cfg_path)]) == 0
     default = capsys.readouterr().out
     assert seeded != default  # different split, different thresholds line
+
+
+def test_cli_seed_override_obeys_the_config_rule(run_dir, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+    cfg_path = run_dir.parent / "cfg.json"
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 1
+    assert re.search(rf"^error: run: .*{_named('seed')}", capsys.readouterr().err)
+    assert calls == []  # no stage ran

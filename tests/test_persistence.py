@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import EMPTY_REPORT, empty_like, make_blobs
+from conftest import EMPTY_REPORT, empty_like, json_at, json_edited, json_paths, make_blobs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,8 @@ from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.persistence import FORMAT_TAG, load, save
 from guidedboost.pipeline import (
+    ROUTE_AUXILIARY,
+    ROUTE_BASE,
     Pipeline,
     RetrainConfig,
     classic_fit,
@@ -313,6 +315,43 @@ def test_a_truncated_fixture_fails_loudly(kind, data):
     _loads_as_recorded_or_fails_with_a_value_error(
         kind, raw[: data.draw(st.integers(0, len(raw) - 1), "length")]
     )
+
+
+def _manifest(raw):
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        return json.loads(zf.read("manifest.json"))
+
+
+_MANIFESTS = {kind: _manifest(raw) for kind, raw in _FIXTURES.items()}
+# the path of every manifest value that is not an object or a list
+_LEAVES = {
+    kind: [p for p in json_paths(m) if not isinstance(json_at(m, p), (dict, list))]
+    for kind, m in _MANIFESTS.items()
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(EARLIER)), data=st.data())
+def test_a_fixture_with_one_manifest_value_edited_predicts_or_fails_loudly(kind, data):
+    """The edited manifest is valid JSON inside a valid zip. It may describe
+    another valid pipeline (moved thresholds, another bias, a skipped pair
+    model), so the labels need not be the recorded ones: the load or the
+    prediction raises a ValueError, or every row gets a 0/1 label and a route."""
+    path = data.draw(st.sampled_from(_LEAVES[kind]), "path")
+    value = data.draw(
+        st.sampled_from([None, "x", -1, 0, 1, 0.5, 10**6, True, False, [], {}]), "value"
+    )
+    edited = json.dumps(json_edited(_MANIFESTS[kind], path, value)).encode()
+    raw = _rewrite(io.BytesIO(_FIXTURES[kind]), io.BytesIO(),
+                   lambda name, b: edited if name == "manifest.json" else b).getvalue()
+    rows = make_blobs(n_per_class=12, n_features=3, seed=5, **EARLIER[kind][0])
+    try:
+        labels, routes = pipeline_predict(load(io.BytesIO(raw)), rows)
+    except ValueError:
+        return
+    assert labels.shape == routes.shape == (rows.n_samples,)
+    assert set(labels.tolist()) <= {0, 1}
+    assert set(routes.tolist()) <= {ROUTE_BASE, ROUTE_AUXILIARY}
 
 
 # ------------------------------------------------------------ corruption
