@@ -1,13 +1,15 @@
-"""Probability adapters: turn any base model's outputs into routing probabilities.
+"""Probability adapters: turn any base model's outputs into one probability.
 
-Three situations arise:
+Every adapter's ``predict_probabilities`` gives one probability per row: its
+prediction is ``p >= 0.5``, and the thresholds calibrated on the validation
+probabilities route it. Three situations arise:
 
 * probability-native bases (logistic, forest) pass their probabilities
   through one identity adapter;
 * margin bases (linear SVM) map decision scores through a piecewise min-max
   transform anchored at zero;
 * degenerate-probability bases (1-NN) get a companion error-proxy forest whose
-  zero-probability region defines the easy set.
+  error probability, signed by the 1-NN label, is the probability.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ import numpy as np
 from ..data import (
     FeatureMatrix,
     PredictionReport,
-    ThresholdPair,
     check_report_alignment,
     prediction_report,
 )
@@ -99,22 +100,18 @@ def train_error_proxy(
 class IdentityAdapter:
     """Passes a probability-native base's probabilities through (logistic or forest)."""
 
-    fixed_thresholds: ThresholdPair | None = None
-
     def __init__(self, model: LinearModel | ForestModel):
         self.model = model
 
     def predict_probabilities(self, X: np.ndarray) -> np.ndarray:
         return self.model.predict_proba(X)
 
-    def routing_probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(X)
+    # the benchmark's name for the same probabilities
+    routing_probabilities = predict_probabilities
 
 
 class SvmAdapter:
     """Maps SVM decision scores through the piecewise min-max transform."""
-
-    fixed_thresholds: ThresholdPair | None = None
 
     def __init__(self, model: LinearModel, score_range: ScoreRange):
         self.model = model
@@ -129,26 +126,22 @@ class SvmAdapter:
     def predict_probabilities(self, X: np.ndarray) -> np.ndarray:
         return decision_to_probability(self.model.decision_scores(X), self.score_range)
 
-    def routing_probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_probabilities(X)
+    # the benchmark's name for the same probabilities
+    routing_probabilities = predict_probabilities
 
 
 class KnnAdapter:
-    """1-NN base with an error-proxy forest deciding the routing.
+    """1-NN base whose probability is its error-proxy forest's q, signed by the label.
 
     The base's own probabilities are hard 0/1, so calibration on them is
-    meaningless. Instead the proxy's error probability q is folded into a
-    routing probability 1 - q/2, which lives in [0.5, 1]; with the fixed
-    thresholds (0.0, 1.0) the easy set is exactly {q == 0}.
+    meaningless. Instead the probability is 1 - q/2 where the 1-NN label is 1
+    and q/2, kept below 0.5, where it is 0: ``p >= 0.5`` is the 1-NN label even
+    at q == 1. With the thresholds (0.0, 1.0) the easy set is exactly {q == 0}.
     """
 
     def __init__(self, model: NearestNeighborModel, proxy: ForestModel):
         self.model = model
         self.proxy = proxy
-
-    @property
-    def fixed_thresholds(self) -> ThresholdPair:
-        return ThresholdPair(th_n=0.0, th_p=1.0)
 
     @classmethod
     def fit(
@@ -163,7 +156,6 @@ class KnnAdapter:
         return cls(model, train_error_proxy(train, base_report, cfg))
 
     def predict_probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(X)
-
-    def routing_probabilities(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 - self.proxy.predict_proba(X) / 2.0
+        half_q = self.proxy.predict_proba(X) / 2.0
+        below_half = np.nextafter(0.5, 0.0)
+        return np.where(self.model.predict(X) == 1, 1.0 - half_q, np.minimum(half_q, below_half))

@@ -32,10 +32,10 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_trees", "min_leaf"):
+        for name, least in (("n_trees", 1), ("max_depth", 0), ("min_leaf", 1)):
             value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"ForestConfig: {name} must be at least 1, got {value}")
+            if value < least:
+                raise ValueError(f"ForestConfig: {name} must be at least {least}, got {value}")
 
 
 def _gini(n: int, pos: int | float) -> float:

@@ -2,8 +2,8 @@
 
 Prediction is the label of the closest training sample under Euclidean
 distance; exact distance ties go to the lowest training id. Probabilities are
-therefore hard 0/1 votes, which is why this base model needs the error-proxy
-route instead of threshold calibration.
+therefore hard 0/1 votes, which is why its adapter takes the probability it
+calibrates on from an error-proxy forest.
 """
 from __future__ import annotations
 

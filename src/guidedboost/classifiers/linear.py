@@ -14,11 +14,20 @@ from ..data import FeatureMatrix
 from ..nn.layers import sigmoid
 
 
+def _check_schedule(cfg) -> None:
+    """The range rule of both linear trainers' settings."""
+    if cfg.epochs < 0 or not cfg.learning_rate > 0.0:
+        raise ValueError(f"{type(cfg).__name__}: need epochs >= 0 and learning_rate > 0, "
+                         f"got {cfg.epochs} and {cfg.learning_rate}")
+
+
 @dataclass
 class LinearConfig:
     learning_rate: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
+
+    __post_init__ = _check_schedule
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,8 @@ class SvmConfig:
     learning_rate: float = 0.05
     epochs: int = 300
     regularization: float = 1e-4
+
+    __post_init__ = _check_schedule
 
 
 def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> LinearModel:

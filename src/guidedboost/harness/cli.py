@@ -78,19 +78,16 @@ def _cmd_calibrate(args) -> int:
     cfg = _load_cfg(args)
     prep = prepare(cfg)
     print(f"th_n={prep.thresholds.th_n:.6g} th_p={prep.thresholds.th_p:.6g}")
-    if prep.tolerated is not None:
-        print(
-            f"tolerated_fps={prep.tolerated.tolerated_fps} "
-            f"tolerated_fns={prep.tolerated.tolerated_fns}"
-        )
-    else:
-        print("thresholds fixed by the base classifier")
+    print(
+        f"tolerated_fps={prep.tolerated.tolerated_fps} "
+        f"tolerated_fns={prep.tolerated.tolerated_fns}"
+    )
     if cfg.out_dir:
         out = output_dir(cfg.out_dir)
         payload = {
             "th_n": prep.thresholds.th_n,
             "th_p": prep.thresholds.th_p,
-            "tolerated": None if prep.tolerated is None else {
+            "tolerated": {
                 "fps": prep.tolerated.tolerated_fps,
                 "fns": prep.tolerated.tolerated_fns,
             },

@@ -5,6 +5,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from ..classifiers.forest import ForestConfig
+from ..classifiers.linear import LinearConfig, SvmConfig
 from ..nn.network import encoder_spec, projection_spec
 from ..nn.training import TrainConfig
 from ..pipeline import RetrainConfig
@@ -12,7 +14,12 @@ from ..thresholding import ToleranceConfig
 from ..typed_json import Node
 from .io import DATA_FORMATS
 
-BASE_KINDS = ("logistic", "svm", "forest", "knn")
+# the settings class of each base kind, whose fields base.params may set; knn
+# takes its error-proxy forest's
+BASE_PARAMS = {
+    "logistic": LinearConfig, "svm": SvmConfig, "forest": ForestConfig, "knn": ForestConfig,
+}
+BASE_KINDS = tuple(BASE_PARAMS)
 # the top-level keys of a config file, as config_to_dict writes them
 _CONFIG_KEYS = (
     "data", "fractions", "tolerance", "base", "feature_top_k", "encoder_widths",
@@ -115,9 +122,14 @@ _FIELD_KINDS = {"int": "count", "float": "number", "bool": "flag"}
 
 def _dataclass(cls, node: Node):
     """cls, built from the config object node, which may hold only cls's
-    fields, each of the kind its annotation names."""
+    fields, each of the kind its annotation names; cls's range errors name
+    node's key path."""
     kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
-    return cls(**node.only(kinds).read(kinds))
+    values = node.only(kinds).read(kinds)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"config key {node.path}: {exc}") from None
 
 
 def config_from_dict(d) -> ExperimentConfig:
@@ -138,10 +150,13 @@ def config_from_dict(d) -> ExperimentConfig:
     for key, value in data.read({"path": "text", "format": "text"}).items():
         kwargs[f"data_{key}"] = value
     base = cfg.get("base", "object", {}).only(("kind", "params"))
-    if "kind" in base.obj:
-        kwargs["base"] = base.get("kind", "text")
+    kind = kwargs["base"] = base.get("kind", "text", ExperimentConfig.base)
+    if kind not in BASE_PARAMS:
+        raise ValueError(f"config key base.kind must be one of {BASE_KINDS}, found {kind!r}")
     if "params" in base.obj:
-        kwargs["base_params"] = dict(base.get("params", "object").obj)
+        params = base.get("params", "object")
+        _dataclass(BASE_PARAMS[kind], params)  # checked, then kept as written
+        kwargs["base_params"] = dict(params.obj)
     kwargs["tolerance"] = _dataclass(ToleranceConfig, cfg.get("tolerance", "object", {}))
     retrain = {"train": _dataclass(TrainConfig, cfg.get("train", "object", {}))}
     for name, spec in (("encoder", encoder_spec), ("projection", projection_spec)):

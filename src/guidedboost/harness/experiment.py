@@ -17,9 +17,9 @@ import numpy as np
 
 from .. import __version__
 from ..classifiers.adapters import IdentityAdapter, KnnAdapter, SvmAdapter
-from ..classifiers.forest import ForestConfig, train_random_forest
+from ..classifiers.forest import train_random_forest
 from ..classifiers.knn import NearestNeighborModel
-from ..classifiers.linear import LinearConfig, SvmConfig, train_linear_svm, train_logistic
+from ..classifiers.linear import train_linear_svm, train_logistic
 from ..data import (
     FeatureMatrix,
     PredictionReport,
@@ -40,7 +40,7 @@ from ..thresholding import (
     split_dataset,
     tolerated_counts,
 )
-from .config import ExperimentConfig, config_to_dict, save_config
+from .config import BASE_PARAMS, ExperimentConfig, config_to_dict, save_config
 from .features import feature_select_topk
 from .io import load_file, output_dir
 from .splits import split_80_10_10
@@ -125,16 +125,14 @@ def fit_base(kind: str, params: dict, train: FeatureMatrix, val: FeatureMatrix,
     """
     if kind in ("forest", "knn"):
         params = {"seed": seed, **params}
+    settings = BASE_PARAMS[kind](**params)
     if kind == "logistic":
-        return IdentityAdapter(train_logistic(train, LinearConfig(**params)))
+        return IdentityAdapter(train_logistic(train, settings))
     if kind == "svm":
-        model = train_linear_svm(train, SvmConfig(**params))
-        return SvmAdapter.fit(model, train, val, test)
+        return SvmAdapter.fit(train_linear_svm(train, settings), train, val, test)
     if kind == "forest":
-        return IdentityAdapter(train_random_forest(train, ForestConfig(**params)))
-    if kind == "knn":
-        return KnnAdapter.fit(NearestNeighborModel.fit(train), train, ForestConfig(**params))
-    raise ValueError(f"unknown base classifier kind {kind!r}")
+        return IdentityAdapter(train_random_forest(train, settings))
+    return KnnAdapter.fit(NearestNeighborModel.fit(train), train, settings)
 
 
 @dataclass
@@ -143,6 +141,7 @@ class Prepared:
 
     ``n_samples`` and ``n_raw_features`` give the loaded dataset's size before
     feature selection; its rows are held only by the three splits.
+    ``routing[split]`` is ``reports[split].probabilities``, which calibrate and route.
     """
 
     n_samples: int
@@ -154,7 +153,7 @@ class Prepared:
     adapter: object
     reports: dict[str, PredictionReport]
     routing: dict[str, np.ndarray]
-    tolerated: ToleratedCounts | None
+    tolerated: ToleratedCounts
     thresholds: ThresholdPair
     assignments: dict[str, SplitAssignment]
     difficult_train: FeatureMatrix
@@ -193,24 +192,16 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             "validation": _report_for(adapter, val),
             "test": _report_for(adapter, test),
         }
-        routing = {
-            "train": adapter.routing_probabilities(train.values),
-            "validation": adapter.routing_probabilities(val.values),
-            "test": adapter.routing_probabilities(test.values),
-        }
+        routing = {split: r.probabilities for split, r in reports.items()}
 
     with _stage("calibrate"):
         val_confusion = confusion_partition(reports["validation"], val.labels)
-        if adapter.fixed_thresholds is not None:
-            thresholds = adapter.fixed_thresholds
-            tolerated = None
-        else:
-            tolerated = tolerated_counts(
-                cfg.tolerance,
-                int(np.sum(val_confusion == "FP")),
-                int(np.sum(val_confusion == "FN")),
-            )
-            thresholds = select_thresholds(routing["validation"], val_confusion, tolerated)
+        tolerated = tolerated_counts(
+            cfg.tolerance,
+            int(np.sum(val_confusion == "FP")),
+            int(np.sum(val_confusion == "FN")),
+        )
+        thresholds = select_thresholds(routing["validation"], val_confusion, tolerated)
 
     with _stage("split-sets"):
         assignments = {
@@ -334,7 +325,7 @@ def run_experiment(
             "test": difficult_test.n_samples,
         },
         "thresholds": {"th_n": prep.thresholds.th_n, "th_p": prep.thresholds.th_p},
-        "tolerated": None if prep.tolerated is None else {
+        "tolerated": {
             "fps": prep.tolerated.tolerated_fps, "fns": prep.tolerated.tolerated_fns,
         },
         "base_test_errors": base_whole.total_errors,

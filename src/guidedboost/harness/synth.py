@@ -26,16 +26,6 @@ def band_limits(spec: SyntheticSpec) -> tuple[float, float]:
     return mid - half, mid + half
 
 
-def in_band(spec: SyntheticSpec, values: np.ndarray) -> np.ndarray:
-    lo, hi = band_limits(spec)
-    return (values[:, PRIMARY] >= lo) & (values[:, PRIMARY] <= hi)
-
-
-def xor_rule(values: np.ndarray) -> np.ndarray:
-    """The planted label rule: positive iff the auxiliary signs agree."""
-    return (np.sign(values[:, AUX_A]) * np.sign(values[:, AUX_B]) > 0).astype(np.int64)
-
-
 def _class_rows(spec: SyntheticSpec, cls: int) -> np.ndarray:
     rng = np.random.default_rng([spec.seed, cls])
     n = spec.n_per_class

@@ -313,9 +313,9 @@ def pipeline_predict(pipeline: Pipeline, samples: FeatureMatrix) -> tuple[np.nda
     X = samples.values
     if pipeline.feature_selection is not None:
         X = X[:, pipeline.feature_selection]
-    routing = pipeline.base.routing_probabilities(X)
-    base_pred = (pipeline.base.predict_probabilities(X) >= 0.5).astype(np.int64)
-    easy = pipeline.thresholds.easy(routing)
+    probabilities = pipeline.base.predict_probabilities(X)
+    base_pred = (probabilities >= 0.5).astype(np.int64)
+    easy = pipeline.thresholds.easy(probabilities)
     labels = np.empty(samples.n_samples, dtype=np.int64)
     routes = np.full(samples.n_samples, ROUTE_BASE, dtype="<U9")
     labels[easy] = base_pred[easy]

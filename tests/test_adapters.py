@@ -15,7 +15,6 @@ from guidedboost.classifiers.forest import ForestConfig, train_random_forest
 from guidedboost.classifiers.knn import NearestNeighborModel
 from guidedboost.classifiers.linear import train_linear_svm, train_logistic
 from guidedboost.data import FeatureMatrix, ThresholdPair, prediction_report
-from guidedboost.thresholding import split_dataset
 
 
 # ------------------------------------------------------------- transform
@@ -127,7 +126,6 @@ def test_logistic_adapter_is_identity():
     data = make_blobs(seed=0)
     model = train_logistic(data)
     adapter = IdentityAdapter(model)
-    assert adapter.fixed_thresholds is None
     assert np.array_equal(
         adapter.predict_probabilities(data.values), model.predict_proba(data.values)
     )
@@ -140,7 +138,6 @@ def test_forest_adapter_is_identity():
     data = make_blobs(seed=1)
     model = train_random_forest(data, ForestConfig(n_trees=5, seed=2))
     adapter = IdentityAdapter(model)
-    assert adapter.fixed_thresholds is None
     assert np.array_equal(
         adapter.predict_probabilities(data.values), model.predict_proba(data.values)
     )
@@ -157,32 +154,26 @@ def test_svm_adapter_pools_all_populations():
     )
     assert adapter.score_range.f_min == pooled.min()
     assert adapter.score_range.f_max == pooled.max()
-    assert adapter.fixed_thresholds is None
     p = adapter.predict_probabilities(test.values)
     assert np.array_equal(p, adapter.routing_probabilities(test.values))
     assert np.array_equal(p >= 0.5, model.decision_scores(test.values) >= 0.0)
 
 
-def test_knn_adapter_routing_and_fixed_thresholds():
+def test_knn_adapter_signs_the_proxy_probability_by_the_1nn_label():
     data, report = _planted_error_setup()
-    # make the 1-NN base actually wrong on the low cluster by flipping labels
-    labeled = FeatureMatrix(
-        values=data.values,
-        labels=np.concatenate([np.ones(30, dtype=np.int64), np.zeros(30, dtype=np.int64)]),
-        ids=data.ids,
-    )
-    model = NearestNeighborModel.fit(labeled)
-    adapter = KnnAdapter.fit(model, labeled, ForestConfig(n_trees=20, seed=7))
-    assert adapter.fixed_thresholds == ThresholdPair(0.0, 1.0)
+    proxy = train_error_proxy(data, report, ForestConfig(n_trees=20, seed=3))
+    # both 1-NN labels in each cluster; each row is its own nearest neighbour
+    labeled = FeatureMatrix(values=data.values, labels=np.arange(60) % 2, ids=data.ids)
+    adapter = KnnAdapter(NearestNeighborModel.fit(labeled), proxy)
+    q = proxy.predict_proba(data.values)
+    one = labeled.labels == 1
 
-    q = adapter.proxy.predict_proba(labeled.values)
-    routing = adapter.routing_probabilities(labeled.values)
-    assert np.array_equal(routing, 1.0 - q / 2.0)
-    assert routing.min() >= 0.5
-
-    # with the fixed thresholds the easy set is exactly the q == 0 region
-    assignment = split_dataset(routing, adapter.fixed_thresholds, labeled.ids)
-    assert assignment.easy_ids == frozenset(int(i) for i in labeled.ids[q == 0.0])
-
-    preds = adapter.predict_probabilities(labeled.values)
-    assert set(np.unique(preds)) <= {0.0, 1.0}
+    p = adapter.predict_probabilities(data.values)
+    assert np.array_equal(p[one], 1.0 - q[one] / 2.0)
+    assert np.array_equal(p[~one], np.minimum(q[~one] / 2.0, np.nextafter(0.5, 0.0)))
+    # the prediction is the 1-NN label, also on a label-0 row that the proxy
+    # is sure the 1-NN gets wrong
+    assert np.any(~one & (q == 1.0))
+    assert np.array_equal(p >= 0.5, one)
+    # the thresholds (0, 1) that knn archives stored route easy where q == 0
+    assert np.array_equal(ThresholdPair(0.0, 1.0).easy(p), q == 0.0)

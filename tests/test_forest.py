@@ -133,6 +133,8 @@ def test_forest_validation():
     data = make_blobs(n_per_class=5)
     with pytest.raises(ValueError):
         train_random_forest(data, ForestConfig(n_trees=0))
+    with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
+        ForestConfig(max_depth=-1)
 
 
 def _reference_best_split(X, y, min_leaf):

@@ -3,18 +3,25 @@ import csv
 import io
 import json
 import re
+import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from cli_checks import run_checks
 from conftest import json_edited, json_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guidedboost.classifiers.adapters import IdentityAdapter, KnnAdapter, SvmAdapter
+from guidedboost.data import confusion_partition
 from guidedboost.harness import cli
 from guidedboost.harness.cli import main
 from guidedboost.harness.config import (
+    BASE_KINDS,
+    BASE_PARAMS,
     ExperimentConfig,
     SyntheticSpec,
     config_from_dict,
@@ -28,7 +35,7 @@ from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.persistence import load
 from guidedboost.pipeline import RetrainConfig
-from guidedboost.thresholding import ToleranceConfig
+from guidedboost.thresholding import ToleranceConfig, select_thresholds, tolerated_counts
 
 
 def _small_cfg(**overrides):
@@ -89,10 +96,20 @@ def test_config_defaults_from_empty_dict():
     ({"tolerance": {"X": "5"}}, "tolerance.X"),
     ({"out_dir": 5}, "out_dir"),
     ({"seed": -1}, "seed"),
+    ({"tolerance": {"X": -1}}, "tolerance"),
+    ({"base": {"kind": "x"}}, "base.kind"),
+    ({"base": {"kind": "forest", "params": {"n_trees": 2.5}}}, "base.params.n_trees"),
+    ({"base": {"kind": "svm", "params": {"epochs": -1}}}, "base.params.epochs"),
+    ({"base": {"kind": "knn", "params": {"bogus": 1}}}, "base.params.bogus"),
+    ({"base": {"kind": "logistic", "params": {"seed": 1}}}, "base.params.seed"),
+    ({"base": {"kind": "svm", "params": {"learning_rate": 0}}}, "base.params"),
+    ({"base": {"kind": "forest", "params": {"max_depth": -1}}}, "base.params.max_depth"),
 ], ids=["top-level", "tolerance", "base", "data", "synthetic-and-path", "float-seed",
         "float-top-k", "section-not-object", "list", "string-planted", "string-fractions",
         "string-widths", "int-widths", "float-epochs", "string-epochs", "string-tolerance",
-        "int-out-dir", "negative-seed"])
+        "int-out-dir", "negative-seed", "tolerance-range", "unknown-kind", "float-trees",
+        "negative-epochs", "unknown-knn-param", "linear-seed", "zero-learning-rate",
+        "negative-depth"])
 def test_config_loader_rejects_what_it_does_not_know(edit, key, tmp_path, capsys):
     d = [] if edit is None else {"data": {"path": "d.csv"}, **edit}
     named = _named(key)
@@ -113,10 +130,11 @@ _README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 QUICK_START = json.loads(
     _README.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
 )
-# every value in the quick-start config but those inside base.params, which
-# the base model checks when it is trained
+# every value in the quick-start config, and each setting of its base kind,
+# which its empty base.params leaves out
 _QUICK_START_PATHS = [
-    p for p in json_paths(QUICK_START) if len(p) <= 2 or p[:2] != ("base", "params")
+    *json_paths(QUICK_START),
+    *(("base", "params", f.name) for f in fields(BASE_PARAMS[QUICK_START["base"]["kind"]])),
 ]
 
 
@@ -187,12 +205,36 @@ def test_forest_counts_below_one_name_the_setting(base, setting, value):
 
 
 def test_a_run_that_cannot_retrain_says_why(tmp_path):
-    # knn's error proxy claims every training row as easy at this size
+    # knn's in-sample error proxy reads q == 0 on every row at this size, so
+    # every probability is 0 or 1 and no calibrated cut leaves a row difficult
     result = run_experiment(_small_cfg(base="knn", out_dir=str(tmp_path)))
     assert result.skipped == "difficult training set is empty"
     assert (result.guided, result.classic) == (None, None)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["skipped"] == result.skipped
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+def test_prepare_calibrates_every_kind_on_its_one_scoring_pass(kind, monkeypatch):
+    calls = []
+    for adapter in (IdentityAdapter, SvmAdapter, KnnAdapter):
+        def counted(self, X, score=adapter.predict_probabilities):
+            calls.append(len(X))
+            return score(self, X)
+
+        for name in ("predict_probabilities", "routing_probabilities"):
+            monkeypatch.setattr(adapter, name, counted, raising=False)
+    cfg = _small_cfg(base=kind)
+    prep = prepare(cfg)
+    assert calls == [prep.train.n_samples, prep.val.n_samples, prep.test.n_samples]
+    for split, report in prep.reports.items():
+        assert np.array_equal(prep.routing[split], report.probabilities)
+    tags = confusion_partition(prep.reports["validation"], prep.val.labels)
+    budget = tolerated_counts(cfg.tolerance, int((tags == "FP").sum()), int((tags == "FN").sum()))
+    assert prep.tolerated == budget
+    assert prep.thresholds == select_thresholds(
+        prep.reports["validation"].probabilities, tags, budget
+    )
 
 
 def test_prepare_lets_go_of_the_loaded_matrix(monkeypatch):
@@ -412,3 +454,9 @@ def test_cli_seed_override_obeys_the_config_rule(run_dir, monkeypatch, capsys):
     assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 1
     assert re.search(rf"^error: run: .*{_named('seed')}", capsys.readouterr().err)
     assert calls == []  # no stage ran
+
+
+def test_the_command_line_checks_pass_on_the_module_entry_point(tmp_path, monkeypatch):
+    # the checks that CI runs on the installed console script
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src"))
+    run_checks([sys.executable, "-m", "guidedboost.harness.cli"], tmp_path)

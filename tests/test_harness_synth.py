@@ -3,9 +3,19 @@ import numpy as np
 import pytest
 
 from guidedboost.harness.config import SyntheticSpec
-from guidedboost.harness.synth import band_limits, generate_synthetic, in_band, xor_rule
+from guidedboost.harness.synth import AUX_A, AUX_B, PRIMARY, band_limits, generate_synthetic
 
 SPEC = SyntheticSpec(n_per_class=200, n_features=5, seed=4)
+
+
+def in_band(spec: SyntheticSpec, values: np.ndarray) -> np.ndarray:
+    lo, hi = band_limits(spec)
+    return (values[:, PRIMARY] >= lo) & (values[:, PRIMARY] <= hi)
+
+
+def xor_rule(values: np.ndarray) -> np.ndarray:
+    """The planted label rule: positive iff the auxiliary signs agree."""
+    return (np.sign(values[:, AUX_A]) * np.sign(values[:, AUX_B]) > 0).astype(np.int64)
 
 
 def test_band_limits_arithmetic():

@@ -95,6 +95,15 @@ def test_svm_determinism():
     assert m1.bias == m2.bias
 
 
+@pytest.mark.parametrize("cls", [LinearConfig, SvmConfig])
+def test_settings_reject_negative_epochs_and_non_positive_rates(cls):
+    assert cls(epochs=0).epochs == 0
+    rule = f"{cls.__name__}: need epochs >= 0 and learning_rate > 0"
+    for bad in ({"epochs": -1}, {"learning_rate": 0.0}, {"learning_rate": float("nan")}):
+        with pytest.raises(ValueError, match=rule):
+            cls(**bad)
+
+
 def test_linear_model_validation():
     model = LinearModel(weights=np.zeros(2), bias=0.0)
     with pytest.raises(ValueError):

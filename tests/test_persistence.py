@@ -83,11 +83,9 @@ def test_guided_round_trip_per_base(kind, tmp_path):
     l2, r2 = pipeline_predict(back, data)
     assert np.array_equal(l1, l2)
     assert np.array_equal(r1, r2)
-    for probabilities in ("predict_probabilities", "routing_probabilities"):
-        assert np.array_equal(
-            getattr(back.base, probabilities)(data.values),
-            getattr(pipe.base, probabilities)(data.values),
-        ), probabilities
+    assert np.array_equal(
+        back.base.predict_probabilities(data.values), pipe.base.predict_probabilities(data.values)
+    )
     assert back.metadata == pipe.metadata
     assert back.thresholds == pipe.thresholds
 

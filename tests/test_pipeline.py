@@ -171,14 +171,19 @@ def _fitted_guided_pipeline(seed=0):
     )
 
 
-def test_pipeline_predict_routes_by_threshold():
+def test_pipeline_predict_routes_by_threshold(monkeypatch):
     data, pipe = _fitted_guided_pipeline(seed=6)
+    probabilities = pipe.base.predict_probabilities(data.values)
+    calls = []
+    # routes and labels come from one scoring pass of the base, by either name
+    for name in ("predict_probabilities", "routing_probabilities"):
+        monkeypatch.setattr(pipe.base, name, lambda X: calls.append(len(X)) or probabilities)
     labels, routes = pipeline_predict(pipe, data)
-    routing = pipe.base.routing_probabilities(data.values)
-    easy = (routing <= 0.35) | (routing >= 0.65)
+    assert calls == [data.n_samples]
+    easy = (probabilities <= 0.35) | (probabilities >= 0.65)
     assert np.array_equal(routes == "base", easy)
 
-    base_pred = (pipe.base.predict_probabilities(data.values) >= 0.5).astype(np.int64)
+    base_pred = (probabilities >= 0.5).astype(np.int64)
     assert np.array_equal(labels[easy], base_pred[easy])
     aux_pred = head_labels(pipe.stage.auxiliary, pipe.stage.embed(data.values[~easy]))
     assert np.array_equal(labels[~easy], aux_pred)
