@@ -18,10 +18,12 @@ float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..data import FeatureMatrix
+from ..parallel import run_all
 
 
 @dataclass
@@ -168,7 +170,9 @@ def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) ->
     """Fit a bagged forest; each tree draws its own bootstrap sample.
 
     Tree t uses default_rng([seed, t]) so forests are reproducible and
-    individual trees stay independent of the total tree count.
+    individual trees stay independent of the total tree count and of each
+    other. So the trees grow side by side (``run_all``), each into its own
+    node list, and the arrays join the lists in tree order.
     """
     cfg = cfg or ForestConfig()
     if data.n_samples == 0:
@@ -179,9 +183,9 @@ def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) ->
     ranks = np.empty((data.n_features, n), dtype=np.int64)
     for j, column in enumerate(X.T):
         ranks[j] = np.unique(column, return_inverse=True)[1]
-    nodes: list[list] = []
-    roots = []
-    for t in range(cfg.n_trees):
+
+    def tree(t: int) -> list[list]:
+        """Tree t's nodes in preorder, child indices counted from its root."""
         rng = np.random.default_rng([cfg.seed, t])
         rows = rng.integers(0, n, size=n)
         # keys ordered by value, then by bootstrap position: one plain sort of
@@ -191,14 +195,24 @@ def train_random_forest(data: FeatureMatrix, cfg: ForestConfig | None = None) ->
         orders = keys % n
         picked = rows[orders]
         xs = np.take_along_axis(X.T, picked, 1)
-        roots.append(len(nodes))
+        nodes: list[list] = []
         _grow(xs, y[picked], orders, y[rows], 0, cfg, nodes)
-    feature, threshold, left, right, p1 = zip(*nodes)
+        return nodes
+
+    trees = run_all([partial(tree, t) for t in range(cfg.n_trees)])
+    sizes = [len(nodes) for nodes in trees]
+    roots = np.cumsum([0, *sizes[:-1]])
+    feature, threshold, left, right, p1 = zip(*(node for nodes in trees for node in nodes))
+    left, right = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+    split = left >= 0
+    shift = np.repeat(roots, sizes)[split]
+    left[split] += shift
+    right[split] += shift
     return ForestModel(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
+        left=left,
+        right=right,
         p1=np.array(p1, dtype=np.float64),
-        roots=np.array(roots, dtype=np.int64),
+        roots=roots.astype(np.int64),
     )

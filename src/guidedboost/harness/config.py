@@ -87,6 +87,13 @@ class ExperimentConfig:
             raise ValueError(f"ExperimentConfig: data_format must be one of {DATA_FORMATS}")
         if self.base not in BASE_KINDS:
             raise ValueError(f"ExperimentConfig: base must be one of {BASE_KINDS}")
+        try:
+            BASE_PARAMS[self.base](**self.base_params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"ExperimentConfig: base_params {self.base_params!r} do not fit base "
+                f"{self.base!r}: {exc}"
+            ) from None
         f = tuple(float(x) for x in self.fractions)
         if len(f) != 3 or min(f) <= 0.0 or abs(sum(f) - 1.0) > 1e-9:
             raise ValueError("ExperimentConfig: fractions must be three positives summing to 1")

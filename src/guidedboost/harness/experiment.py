@@ -29,6 +29,7 @@ from ..data import (
     prediction_report,
 )
 from ..metrics import EvaluationReport, delta_errors, errors_reduction, evaluate
+from ..parallel import run_all
 from ..persistence import save
 from ..pipeline import Pipeline, classic_fit, difficult_set_problem, guided_fit
 from ..thresholding import (
@@ -56,6 +57,10 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {original}")
         self.stage = stage
         self.original = original
+
+    def __reduce__(self):
+        # so that a StageError raised in a worker process reaches the parent
+        return StageError, (self.stage, self.original)
 
 
 @contextmanager
@@ -258,7 +263,7 @@ def run_experiment(
     """Execute the full protocol; see the module docstring.
 
     variants picks which retraining stages to fit; the default runs both so
-    their reports can be compared.
+    their reports can be compared. The stages fit side by side (``run_all``).
     """
     unknown = set(variants) - {"guided", "classic"}
     if unknown:
@@ -290,27 +295,28 @@ def run_experiment(
             return prediction_report(r.probabilities[hard], part.labels, r.ids[hard])
 
         def fit_guided():
-            return guided_fit(
-                difficult_train, difficult_report("train", difficult_train), difficult_val,
-                cfg.retrain, val_report=difficult_report("validation", difficult_val),
-                seed=cfg.seed,
-            )
+            with _stage("guided-retrain"):
+                return guided_fit(
+                    difficult_train, difficult_report("train", difficult_train), difficult_val,
+                    cfg.retrain, val_report=difficult_report("validation", difficult_val),
+                    seed=cfg.seed,
+                )
 
         def fit_classic():
-            return classic_fit(difficult_train, difficult_val, cfg.retrain, seed=cfg.seed)
+            with _stage("classic-retrain"):
+                return classic_fit(difficult_train, difficult_val, cfg.retrain, seed=cfg.seed)
 
-        for name, fit in (("guided", fit_guided), ("classic", fit_classic)):
-            if name not in variants:
-                continue
-            with _stage(f"{name}-retrain"):
-                pipelines[name] = Pipeline(
-                    base=prep.adapter,
-                    thresholds=prep.thresholds,
-                    stage=fit(),
-                    n_raw_features=prep.n_raw_features,
-                    feature_selection=prep.kept,
-                    metadata=_metadata(cfg),
-                )
+        fits = {"guided": fit_guided, "classic": fit_classic}
+        names = [name for name in fits if name in variants]
+        for name, stage in zip(names, run_all([fits[name] for name in names])):
+            pipelines[name] = Pipeline(
+                base=prep.adapter,
+                thresholds=prep.thresholds,
+                stage=stage,
+                n_raw_features=prep.n_raw_features,
+                feature_selection=prep.kept,
+                metadata=_metadata(cfg),
+            )
 
     summary: dict = {
         "n_samples": prep.n_samples,

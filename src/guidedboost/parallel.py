@@ -1,0 +1,116 @@
+"""Independent jobs run side by side in forked worker processes.
+
+``run_all(jobs)`` returns ``[job() for job in jobs]``. The workers are made
+with ``os.fork``, so a job reads the parent's arrays without a copy and only
+its result is pickled back. A job that draws its random numbers only from its
+own seeds gives the bits of the serial loop. A fork copies only the calling
+thread, so no other thread may hold a lock that a job needs. Each worker runs
+BLAS at the parent's thread count, so set that to 1 before numpy loads.
+"""
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+import sys
+import traceback
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _flush_std_streams() -> None:
+    """Write out buffered output: a worker would repeat what the parent
+    buffered, and ``os._exit`` drops what the worker buffered."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+
+
+def run_all(jobs: list) -> list:
+    """``[job() for job in jobs]``, in at most one forked worker per usable CPU.
+
+    Worker w of W runs jobs w, w + W, ... in order and stops at its first
+    failure. The failure with the lowest job index, the one the serial loop
+    would raise, is raised again with its type and message; a worker that
+    ends without reporting raises RuntimeError. Every worker is reaped before
+    this returns or raises. With one job or one usable CPU the jobs run here.
+    """
+    n = min(len(jobs), _usable_cpus())
+    if n < 2:
+        return [job() for job in jobs]
+    _flush_std_streams()
+    pids, reads, outcomes = [], [], []
+    try:
+        for w in range(n):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(jobs, range(w, len(jobs), n), write)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    outcomes.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):  # the worker died
+                    outcomes.append(None)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read in reads:
+            os.close(read)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results, failures = [None] * len(jobs), []
+    for w, (outcome, code) in enumerate(zip(outcomes, codes)):
+        if code != 0 or outcome is None:
+            failures.append((w, RuntimeError(
+                f"run_all: worker {w} exited with code {code} before it reported")))
+            continue
+        done, failure = outcome
+        for i, result in zip(range(w, len(jobs), n), done):
+            results[i] = result
+        if failure is not None:
+            i, blob, trace = failure
+            try:
+                exc = pickle.loads(blob)
+            except Exception:  # the job's error cannot travel as itself
+                exc = RuntimeError(f"run_all: job {i} failed in a worker:\n{trace}")
+            exc.__cause__ = RuntimeError(f"the traceback in the worker:\n{trace}")
+            failures.append((i, exc))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
+def _work(jobs: list, indices: range, write: int) -> None:
+    """A worker's life: run its jobs, pickle what they gave down the pipe, exit."""
+    code = 1
+    try:
+        done, failure = [], None
+        for i in indices:
+            try:
+                done.append(jobs[i]())
+            except Exception as exc:
+                try:
+                    blob = pickle.dumps(exc)
+                except Exception:
+                    blob = None
+                failure = (i, blob, traceback.format_exc())
+                break
+        with open(write, "wb") as pipe:
+            pickle.dump((done, failure), pipe)
+        _flush_std_streams()  # os._exit does not
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .nn.network import (
     projection_spec,
 )
 from .nn.training import TrainConfig, train_auxiliary, train_model
+from .parallel import run_all
 
 log = logging.getLogger(__name__)
 
@@ -202,6 +204,16 @@ def _fit_stage(
     return Stage(models_1_to_4=models_1_to_4, model=model, auxiliary=auxiliary)
 
 
+def _fit_pair(k: int, train: FeatureMatrix, rows: np.ndarray, val: FeatureMatrix,
+              val_rows: np.ndarray, cfg: RetrainConfig, seed: int) -> EncoderProjectionModel:
+    """Model k (seed tag k) on the given rows of train. It early-stops on the
+    given rows of val, or on all of val when they are fewer than 2."""
+    val_k = val.subset(val_rows) if len(val_rows) >= 2 else val
+    with _training(f"guided_fit: model {k}"):
+        return train_model(train.subset(rows), val_k, cfg.train, cfg.encoder, cfg.projection,
+                           seed=[seed, k])
+
+
 def guided_fit(
     difficult_train: FeatureMatrix,
     base_report: PredictionReport,
@@ -216,8 +228,9 @@ def guided_fit(
     Models 1-4 are trained on the confusion-cell pairings TP'+FP', TN'+FN',
     TP'+TN' and FP'+FN' of the base's predictions, using true labels as
     contrastive classes; a pairing with an empty cell is skipped and its
-    embedding block zeroed. Model 5 trains on the concatenated embeddings and
-    the auxiliary head on Model 5's embeddings.
+    embedding block zeroed. Models 1-4 train side by side (``run_all``).
+    Model 5 trains on the concatenated embeddings and the auxiliary head on
+    Model 5's embeddings.
 
     Args:
         difficult_train: samples inside the calibrated threshold interval.
@@ -235,10 +248,10 @@ def guided_fit(
 
     tags = confusion_partition(base_report, difficult_train.labels)
     val_tags = confusion_partition(val_report, difficult_val.labels)
-    models: list[EncoderProjectionModel | None] = []
+    jobs = {}
     for k, pair in enumerate(MODEL_PAIRS, start=1):
-        train_k = difficult_train.subset(np.flatnonzero(np.isin(tags, pair)))
-        if len(np.unique(train_k.labels)) < 2:
+        rows = np.flatnonzero(np.isin(tags, pair))
+        if len(np.unique(difficult_train.labels[rows])) < 2:
             log.warning(
                 "guided_fit: model %d (%s+%s) skipped, confusion cell empty; "
                 "its embedding block will be zeros",
@@ -246,18 +259,11 @@ def guided_fit(
                 pair[0],
                 pair[1],
             )
-            models.append(None)
             continue
-        val_k = difficult_val.subset(np.flatnonzero(np.isin(val_tags, pair)))
-        if val_k.n_samples < 2:
-            val_k = difficult_val
-        with _training(f"guided_fit: model {k}"):
-            models.append(
-                train_model(
-                    train_k, val_k, cfg.train, cfg.encoder, cfg.projection, seed=[seed, k]
-                )
-            )
-    models_t = tuple(models)
+        val_rows = np.flatnonzero(np.isin(val_tags, pair))
+        jobs[k] = partial(_fit_pair, k, difficult_train, rows, difficult_val, val_rows, cfg, seed)
+    trained = dict(zip(jobs, run_all(list(jobs.values()))))
+    models_t = tuple(trained.get(k) for k in range(1, len(MODEL_PAIRS) + 1))
 
     def concat(data: FeatureMatrix) -> FeatureMatrix:
         values = concat_embeddings(models_t, data.values, cfg.encoder.out_width)

@@ -198,10 +198,14 @@ def test_run_experiment_tags_failing_stage(tmp_path):
 @pytest.mark.parametrize("setting", ["min_leaf", "n_trees"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_forest_counts_below_one_name_the_setting(base, setting, value):
-    cfg = _small_cfg(base=base, base_params={setting: value})
-    with pytest.raises(StageError, match=f"{setting} must be at least 1, got {value}") as err:
-        prepare(cfg)
-    assert err.value.stage == "train-base"
+    with pytest.raises(ValueError, match=f"base_params .* {setting} must be at least 1, got {value}"):
+        _small_cfg(base=base, base_params={setting: value})
+
+
+def test_unknown_base_params_fail_when_the_config_is_built():
+    with pytest.raises(ValueError, match=r"base_params \{'bogus': 1\} do not fit base 'svm': .*'bogus'"):
+        ExperimentConfig(synthetic=SyntheticSpec(n_per_class=50, n_features=3), base="svm",
+                         base_params={"bogus": 1})
 
 
 def test_a_run_that_cannot_retrain_says_why(tmp_path):

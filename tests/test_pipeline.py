@@ -24,7 +24,7 @@ from guidedboost.nn.network import (
     head_labels,
     projection_spec,
 )
-from guidedboost import pipeline
+from guidedboost import parallel, pipeline
 from guidedboost.nn.training import TrainConfig, train_auxiliary, train_model
 from guidedboost.persistence import load
 from guidedboost.pipeline import (
@@ -487,6 +487,8 @@ def test_training_embeddings_match_whole_batch_bit_for_bit(guided, n, n_val, mon
 def test_training_memory_does_not_grow_with_rows(monkeypatch):
     """Peak traced memory of the guided concatenation, and of the head's
     training embeddings, beyond the arrays they return."""
+    # serial: the fake trainers keep their state in this process
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     stage = _untrained_stage(guided=True)
     excess = {}
 
