@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from ..persistence import load as load_pipeline
 from ..pipeline import ROUTE_AUXILIARY, ROUTE_BASE, pipeline_predict
 from ..thresholding import curve_to_csv
 from .config import ExperimentConfig, load_config
-from .experiment import StageError, load_data, metrics_to_csv, prepare, run_experiment
+from .experiment import VARIANTS, StageError, load_data, metrics_to_csv, prepare, run_experiment
 from .io import DATA_FORMATS, load_file, output_dir, write_dense_csv
 
 
@@ -176,12 +177,10 @@ COMMANDS = {
     "train-base": ("train the base classifier and report per-split metrics", _cmd_train_base),
     "calibrate": ("derive routing thresholds from the validation split", _cmd_calibrate),
     "split": ("partition each split into easy and difficult subsets", _cmd_split),
-    "guided-retrain": ("run the protocol with the guided retraining stage only",
-                       lambda a: _cmd_run(a, ("guided",))),
-    "classic-retrain": ("run the protocol with the classic retraining stage only",
-                        lambda a: _cmd_run(a, ("classic",))),
+    **{f"{name}-retrain": (f"run the protocol with the {name} retraining stage only",
+                           partial(_cmd_run, variants=(name,))) for name in VARIANTS},
     "run": ("run the full protocol with both retraining variants",
-            lambda a: _cmd_run(a, ("guided", "classic"))),
+            partial(_cmd_run, variants=VARIANTS)),
     "synth": ("generate the configured synthetic dataset as dense CSV", _cmd_synth),
     "evaluate": ("evaluate a saved pipeline on a labeled dataset", _cmd_evaluate),
     "predict": ("predict a saved pipeline on a labeled dataset", _cmd_predict),

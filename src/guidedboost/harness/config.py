@@ -13,6 +13,7 @@ from ..pipeline import RetrainConfig
 from ..thresholding import ToleranceConfig
 from ..typed_json import Node
 from .io import DATA_FORMATS
+from .splits import check_fractions
 
 # the settings class of each base kind, whose fields base.params may set; knn
 # takes its error-proxy forest's
@@ -80,9 +81,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if (self.data_path is None) == (self.synthetic is None):
-            raise ValueError(
-                "ExperimentConfig: set exactly one data source, data_path or synthetic"
-            )
+            raise ValueError("ExperimentConfig: set exactly one of data_path and synthetic")
         if self.data_format not in DATA_FORMATS:
             raise ValueError(f"ExperimentConfig: data_format must be one of {DATA_FORMATS}")
         if self.base not in BASE_KINDS:
@@ -94,10 +93,7 @@ class ExperimentConfig:
                 f"ExperimentConfig: base_params {self.base_params!r} do not fit base "
                 f"{self.base!r}: {exc}"
             ) from None
-        f = tuple(float(x) for x in self.fractions)
-        if len(f) != 3 or min(f) <= 0.0 or abs(sum(f) - 1.0) > 1e-9:
-            raise ValueError("ExperimentConfig: fractions must be three positives summing to 1")
-        self.fractions = f
+        self.fractions = check_fractions(self.fractions)
         if self.feature_top_k < 0:
             raise ValueError("ExperimentConfig: feature_top_k must be >= 0 (0 disables)")
         if self.seed < 0:
@@ -154,6 +150,8 @@ def config_from_dict(d) -> ExperimentConfig:
         if extra:
             raise ValueError(f"config key data.{extra[0]} cannot be set with data.synthetic")
         kwargs["synthetic"] = _dataclass(SyntheticSpec, data.get("synthetic", "object"))
+    elif "path" not in data.obj:
+        raise ValueError("config key data must set data.synthetic or data.path")
     for key, value in data.read({"path": "text", "format": "text"}).items():
         kwargs[f"data_{key}"] = value
     base = cfg.get("base", "object", {}).only(("kind", "params"))

@@ -12,6 +12,7 @@ import io
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from ..data import (
 from ..metrics import EvaluationReport, delta_errors, errors_reduction, evaluate
 from ..parallel import run_all
 from ..persistence import save
-from ..pipeline import Pipeline, classic_fit, difficult_set_problem, guided_fit
+from ..pipeline import Pipeline, Stage, classic_fit, difficult_set_problem, guided_fit
 from ..thresholding import (
     CurvePoint,
     ToleratedCounts,
@@ -48,6 +49,9 @@ from .splits import split_80_10_10
 from .synth import generate_synthetic
 
 CURVE_GRID = np.linspace(0.0, 1.0, 101)
+# the retraining variants, in the order their metrics.csv rows and summary
+# keys are written
+VARIANTS = ("classic", "guided")
 
 
 class StageError(RuntimeError):
@@ -75,43 +79,32 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One Table-style report line."""
+    """One Table-style report line: a predictor's report and, for a retrained
+    variant, its change in errors against the base on the same rows."""
 
     predictor: str
-    scope: str
-    n: int
-    accuracy: float
-    f1: float
-    errors: int
+    report: EvaluationReport
     delta_errors: int | None = None
     errors_reduction_pct: float | None = None
 
 
-def _row(
-    predictor: str, report: EvaluationReport, delta: int | None = None,
-    reduction: float | None = None,
-) -> MetricsRow:
-    return MetricsRow(
-        predictor=predictor,
-        scope=report.scope,
-        n=report.n,
-        accuracy=report.accuracy,
-        f1=report.f1,
-        errors=report.total_errors,
-        delta_errors=delta,
-        errors_reduction_pct=reduction,
-    )
+def _row(predictor: str, report: EvaluationReport,
+         base: EvaluationReport | None = None) -> MetricsRow:
+    if base is None:
+        return MetricsRow(predictor, report)
+    delta = delta_errors(base, report)
+    return MetricsRow(predictor, report, delta, errors_reduction(delta, base.total_errors))
 
 
 def metrics_to_csv(rows: list[MetricsRow]) -> str:
     buf = io.StringIO()
     buf.write("predictor,scope,n,accuracy,f1,errors,delta_errors,errors_reduction_pct\n")
     for r in rows:
+        rep = r.report
         delta = "" if r.delta_errors is None else r.delta_errors
         red = "" if r.errors_reduction_pct is None else f"{r.errors_reduction_pct:.2f}"
-        buf.write(
-            f"{r.predictor},{r.scope},{r.n},{r.accuracy:.6f},{r.f1:.6f},{r.errors},{delta},{red}\n"
-        )
+        buf.write(f"{r.predictor},{rep.scope},{rep.n},{rep.accuracy:.6f},{rep.f1:.6f},"
+                  f"{rep.total_errors},{delta},{red}\n")
     return buf.getvalue()
 
 
@@ -180,58 +173,50 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         data = load_data(cfg)
     n_samples, n_raw_features = data.n_samples, data.n_features
     with _stage("split"):
-        train, val, test = split_80_10_10(data, cfg.fractions, cfg.seed)
+        parts = split_80_10_10(data, cfg.fractions, cfg.seed)
     del data
 
     kept = None
     if cfg.feature_top_k:
         with _stage("features"):
-            kept, (train, val, test) = feature_select_topk(
-                train, cfg.feature_top_k, val, test
-            )
+            kept, parts = feature_select_topk(parts[0], cfg.feature_top_k, *parts[1:])
+    parts = dict(zip(("train", "validation", "test"), parts))
 
     with _stage("train-base"):
-        adapter = fit_base(cfg.base, cfg.base_params, train, val, test, cfg.seed)
-        reports = {
-            "train": _report_for(adapter, train),
-            "validation": _report_for(adapter, val),
-            "test": _report_for(adapter, test),
-        }
+        adapter = fit_base(cfg.base, cfg.base_params, *parts.values(), cfg.seed)
+        reports = {split: _report_for(adapter, part) for split, part in parts.items()}
         routing = {split: r.probabilities for split, r in reports.items()}
 
     with _stage("calibrate"):
-        val_confusion = confusion_partition(reports["validation"], val.labels)
+        tags = confusion_partition(reports["validation"], parts["validation"].labels)
         tolerated = tolerated_counts(
-            cfg.tolerance,
-            int(np.sum(val_confusion == "FP")),
-            int(np.sum(val_confusion == "FN")),
+            cfg.tolerance, int(np.sum(tags == "FP")), int(np.sum(tags == "FN"))
         )
-        thresholds = select_thresholds(routing["validation"], val_confusion, tolerated)
+        thresholds = select_thresholds(routing["validation"], tags, tolerated)
 
     with _stage("split-sets"):
         assignments = {
-            name: split_dataset(routing[name], thresholds, part.ids)
-            for name, part in (("train", train), ("validation", val), ("test", test))
+            split: split_dataset(routing[split], thresholds, part.ids)
+            for split, part in parts.items()
         }
-        difficult_train = train.subset_by_ids(assignments["train"].difficult_ids)
-        difficult_val = val.subset_by_ids(assignments["validation"].difficult_ids)
-        difficult_test = test.subset_by_ids(assignments["test"].difficult_ids)
+        difficult = {
+            split: part.subset_by_ids(assignments[split].difficult_ids)
+            for split, part in parts.items()
+        }
 
     with _stage("curve"):
-        test_confusion = confusion_partition(reports["test"], test.labels)
+        test_tags = confusion_partition(reports["test"], parts["test"].labels)
         curves = {
-            "validation": accumulated_error_curve(
-                routing["validation"], val_confusion, CURVE_GRID
-            ),
-            "test": accumulated_error_curve(routing["test"], test_confusion, CURVE_GRID),
+            "validation": accumulated_error_curve(routing["validation"], tags, CURVE_GRID),
+            "test": accumulated_error_curve(routing["test"], test_tags, CURVE_GRID),
         }
 
     return Prepared(
-        n_samples=n_samples, n_raw_features=n_raw_features, kept=kept, train=train,
-        val=val, test=test, adapter=adapter, reports=reports, routing=routing,
-        tolerated=tolerated, thresholds=thresholds, assignments=assignments,
-        difficult_train=difficult_train, difficult_val=difficult_val,
-        difficult_test=difficult_test, curves=curves,
+        n_samples=n_samples, n_raw_features=n_raw_features, kept=kept, train=parts["train"],
+        val=parts["validation"], test=parts["test"], adapter=adapter, reports=reports,
+        routing=routing, tolerated=tolerated, thresholds=thresholds, assignments=assignments,
+        difficult_train=difficult["train"], difficult_val=difficult["validation"],
+        difficult_test=difficult["test"], curves=curves,
     )
 
 
@@ -249,30 +234,35 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def _metadata(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "config": config_to_dict(cfg),
-        "package_version": __version__,
-    }
+def _fit_variant(name: str, prep: Prepared, cfg: ExperimentConfig) -> Stage:
+    """The retraining stage of variant name, fitted on the difficult rows."""
+    train, val = prep.difficult_train, prep.difficult_val
+    with _stage(f"{name}-retrain"):
+        if name == "classic":
+            return classic_fit(train, val, cfg.retrain, seed=cfg.seed)
+        # the base predictions that routed the rows, not a second pass
+        reports = {}
+        for split, part in (("train", train), ("validation", val)):
+            r, hard = prep.reports[split], ~prep.thresholds.easy(prep.routing[split])
+            reports[split] = prediction_report(r.probabilities[hard], part.labels, r.ids[hard])
+        return guided_fit(train, reports["train"], val, cfg.retrain,
+                          val_report=reports["validation"], seed=cfg.seed)
 
 
 def run_experiment(
-    cfg: ExperimentConfig, variants: tuple[str, ...] = ("guided", "classic")
+    cfg: ExperimentConfig, variants: tuple[str, ...] = VARIANTS
 ) -> ExperimentResult:
     """Execute the full protocol; see the module docstring.
 
-    variants picks which retraining stages to fit; the default runs both so
-    their reports can be compared. The stages fit side by side (``run_all``).
+    variants picks which retraining stages to fit; the default runs all of
+    them so their reports can be compared. The stages fit side by side
+    (``run_all``).
     """
-    unknown = set(variants) - {"guided", "classic"}
+    unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ValueError(f"run_experiment: unknown variants {sorted(unknown)}")
     prep = prepare(cfg)
-    test, val = prep.test, prep.val
-    difficult_train, difficult_val, difficult_test = (
-        prep.difficult_train, prep.difficult_val, prep.difficult_test,
-    )
+    test, difficult_test = prep.test, prep.difficult_test
     base_preds = prep.reports["test"].predictions
 
     with _stage("evaluate"):
@@ -286,48 +276,32 @@ def run_experiment(
         rows = [_row("base", r) for r in (base_whole, *scoped.values())]
         base_difficult = scoped.get("difficult")
 
-    pipelines: dict[str, Pipeline | None] = {"guided": None, "classic": None}
-    skipped = difficult_set_problem(difficult_train)
+    pipelines: dict[str, Pipeline] = {}
+    skipped = difficult_set_problem(prep.difficult_train)
     if skipped is None:
-        def difficult_report(split: str, part: FeatureMatrix) -> PredictionReport:
-            # the base predictions that routed the rows, not a second pass
-            r, hard = prep.reports[split], ~prep.thresholds.easy(prep.routing[split])
-            return prediction_report(r.probabilities[hard], part.labels, r.ids[hard])
-
-        def fit_guided():
-            with _stage("guided-retrain"):
-                return guided_fit(
-                    difficult_train, difficult_report("train", difficult_train), difficult_val,
-                    cfg.retrain, val_report=difficult_report("validation", difficult_val),
-                    seed=cfg.seed,
-                )
-
-        def fit_classic():
-            with _stage("classic-retrain"):
-                return classic_fit(difficult_train, difficult_val, cfg.retrain, seed=cfg.seed)
-
-        fits = {"guided": fit_guided, "classic": fit_classic}
-        names = [name for name in fits if name in variants]
-        for name, stage in zip(names, run_all([fits[name] for name in names])):
-            pipelines[name] = Pipeline(
-                base=prep.adapter,
-                thresholds=prep.thresholds,
-                stage=stage,
-                n_raw_features=prep.n_raw_features,
+        names = [name for name in VARIANTS if name in variants]
+        stages = run_all([partial(_fit_variant, name, prep, cfg) for name in names])
+        pipelines = {
+            name: Pipeline(
+                prep.adapter, prep.thresholds, stage, prep.n_raw_features,
                 feature_selection=prep.kept,
-                metadata=_metadata(cfg),
+                metadata={"seed": cfg.seed, "config": config_to_dict(cfg),
+                          "package_version": __version__},
             )
+            for name, stage in zip(names, stages)
+        }
 
     summary: dict = {
         "n_samples": prep.n_samples,
         "n_features": prep.n_raw_features,
         "kept_features": None if prep.kept is None else [int(i) for i in prep.kept],
         "split_sizes": {
-            "train": prep.train.n_samples, "validation": val.n_samples, "test": test.n_samples,
+            "train": prep.train.n_samples, "validation": prep.val.n_samples,
+            "test": test.n_samples,
         },
         "difficult_sizes": {
-            "train": difficult_train.n_samples,
-            "validation": difficult_val.n_samples,
+            "train": prep.difficult_train.n_samples,
+            "validation": prep.difficult_val.n_samples,
             "test": difficult_test.n_samples,
         },
         "thresholds": {"th_n": prep.thresholds.th_n, "th_p": prep.thresholds.th_p},
@@ -346,37 +320,32 @@ def run_experiment(
             base_difficult.total_errors / base_whole.total_errors * 100.0, 2
         )
 
-    if skipped is None and difficult_test.n_samples:
+    if difficult_test.n_samples:
         with _stage("evaluate"):
-            for name in ("classic", "guided"):
-                pipe = pipelines[name]
-                if pipe is None:
-                    continue
+            for name, pipe in pipelines.items():
                 aux_preds = pipe.stage.predict(difficult_test.values)
-                diff_report = evaluate(aux_preds, difficult_test.labels, scope="difficult")
                 # difficult_test holds the test rows at ~easy, in test order
                 combined = base_preds.copy()
                 combined[~easy] = aux_preds
-                comb_report = evaluate(combined, test.labels, scope="combined")
-                delta = delta_errors(base_difficult, diff_report)
-                reduction = errors_reduction(delta, base_difficult.total_errors)
-                rows.append(_row(name, diff_report, delta, reduction))
-                comb_delta = delta_errors(base_whole, comb_report)
-                comb_red = errors_reduction(comb_delta, base_whole.total_errors)
-                rows.append(_row(name, comb_report, comb_delta, comb_red))
-                summary[f"{name}_difficult_delta_errors"] = delta
-                summary[f"{name}_difficult_errors_reduction_pct"] = reduction
-                summary[f"{name}_combined_errors"] = comb_report.total_errors
+                on_difficult = _row(name, evaluate(aux_preds, difficult_test.labels,
+                                                   scope="difficult"), base_difficult)
+                on_whole = _row(name, evaluate(combined, test.labels, scope="combined"),
+                                base_whole)
+                rows += [on_difficult, on_whole]
+                summary[f"{name}_difficult_delta_errors"] = on_difficult.delta_errors
+                summary[f"{name}_difficult_errors_reduction_pct"] = (
+                    on_difficult.errors_reduction_pct
+                )
+                summary[f"{name}_combined_errors"] = on_whole.report.total_errors
 
     result = ExperimentResult(
         config=cfg,
         thresholds=prep.thresholds,
         rows=rows,
         curves=prep.curves,
-        guided=pipelines["guided"],
-        classic=pipelines["classic"],
         skipped=skipped,
         summary=summary,
+        **{name: pipelines.get(name) for name in VARIANTS},
     )
     if cfg.out_dir:
         with _stage("persist"):
@@ -391,7 +360,7 @@ def _write_bundle(result: ExperimentResult) -> None:
         (out / f"curve_{name}.csv").write_text(curve_to_csv(points))
     (out / "summary.json").write_text(json.dumps(result.summary, indent=2) + "\n")
     save_config(result.config, out / "config.json")
-    if result.guided is not None:
-        save(result.guided, out / "pipeline_guided.zip")
-    if result.classic is not None:
-        save(result.classic, out / "pipeline_classic.zip")
+    for name in VARIANTS:
+        pipe = getattr(result, name)
+        if pipe is not None:
+            save(pipe, out / f"pipeline_{name}.zip")

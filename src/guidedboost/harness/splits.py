@@ -6,6 +6,19 @@ import numpy as np
 from ..data import FeatureMatrix
 
 
+def check_fractions(fractions) -> tuple[float, float, float]:
+    """fractions as floats, if they are three numbers in (0, 1) summing to 1;
+    the ValueError names the entry out of range, or else ``fractions``."""
+    f = tuple(float(x) for x in fractions)
+    rule = "fractions must be three numbers in (0, 1) summing to 1"
+    for i, x in enumerate(f):
+        if not 0.0 < x < 1.0:
+            raise ValueError(f"fractions[{i}] is {x}: {rule}")
+    if len(f) != 3 or abs(sum(f) - 1.0) > 1e-9:
+        raise ValueError(f"{rule}, found {list(f)}")
+    return f
+
+
 def _allocate(m: int, fractions: tuple[float, float, float]) -> list[int]:
     """Largest-remainder allocation of m samples, no empty part for m >= 3."""
     base = [int(m * f) for f in fractions]
@@ -35,9 +48,7 @@ def split_80_10_10(
     """
     if data.n_samples < 10:
         raise ValueError("split_80_10_10: need at least 10 samples")
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or min(fractions) <= 0.0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split_80_10_10: fractions must be three positives summing to 1")
+    fractions = check_fractions(fractions)
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls in (0, 1):
         members = np.flatnonzero(data.labels == cls)

@@ -10,10 +10,12 @@ uses the standard library only, so it runs where only the package and numpy
 are installed.
 
 The checks: a run saves the same archive bytes twice; a saved archive
-predicts every row of a written synthetic dataset; an archive with one
-flipped blob byte, a misspelt config key, a value of the wrong type and an
-out-of-range base setting each fail with an ``error:`` line that names the
-cause, and the failed runs write no output directory.
+predicts every row of a written synthetic dataset; ``guided-retrain`` and
+``classic-retrain`` each write their own archive and no other; an archive
+with one flipped blob byte, a misspelt config key, a value of the wrong
+type, an out-of-range base setting and a data section without a source each
+fail with an ``error:`` line that names the cause, and the failed runs write
+no output directory.
 """
 from __future__ import annotations
 
@@ -88,6 +90,14 @@ def run_checks(command: list[str], workdir: Path) -> None:
     _run(command, ["run", "--config", cfg], workdir)
     _check(archive.read_bytes() == first, "the same config saved different archive bytes")
 
+    # a single-variant command writes that variant's archive and no other
+    for variant in ("guided", "classic"):
+        out = workdir / f"{variant}_out"
+        _run(command, [f"{variant}-retrain", "--config", cfg, "--out", out.name], workdir)
+        archives = sorted(p.name for p in out.glob("pipeline_*.zip"))
+        _check(archives == [f"pipeline_{variant}.zip"],
+               f"{variant}-retrain wrote the archives {archives}")
+
     _run(command, ["synth", "--config", cfg], workdir)
     predict = ["predict", "--data", "out/synthetic.csv", "--pipeline"]
     _run(command, [*predict, "out/pipeline_guided.zip", "--out", "out"], workdir)
@@ -103,6 +113,7 @@ def run_checks(command: list[str], workdir: Path) -> None:
          "data.synthetic.planted"),
         ("params", {"base": {"kind": "logistic", "params": {"epochs": -1}}},
          "base.params.epochs"),
+        ("no-source", {"data": {}}, "config key data "),
     )
     for name, entries, key in bad_configs:
         out = f"{name}_out"

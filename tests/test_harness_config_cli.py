@@ -30,7 +30,7 @@ from guidedboost.harness.config import (
     save_config,
 )
 from guidedboost.harness import experiment
-from guidedboost.harness.experiment import StageError, prepare, run_experiment
+from guidedboost.harness.experiment import VARIANTS, StageError, prepare, run_experiment
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.persistence import load
@@ -104,12 +104,17 @@ def test_config_defaults_from_empty_dict():
     ({"base": {"kind": "logistic", "params": {"seed": 1}}}, "base.params.seed"),
     ({"base": {"kind": "svm", "params": {"learning_rate": 0}}}, "base.params"),
     ({"base": {"kind": "forest", "params": {"max_depth": -1}}}, "base.params.max_depth"),
+    ({"data": {}}, "data"),
+    ({"fractions": [0.5, -0.1, 0.6]}, "fractions[1]"),
+    ({"fractions": [0.5, 0.5, 0.5]}, "fractions"),
+    ({"fractions": [0.5, 0.5]}, "fractions"),
 ], ids=["top-level", "tolerance", "base", "data", "synthetic-and-path", "float-seed",
         "float-top-k", "section-not-object", "list", "string-planted", "string-fractions",
         "string-widths", "int-widths", "float-epochs", "string-epochs", "string-tolerance",
         "int-out-dir", "negative-seed", "tolerance-range", "unknown-kind", "float-trees",
         "negative-epochs", "unknown-knn-param", "linear-seed", "zero-learning-rate",
-        "negative-depth"])
+        "negative-depth", "no-data-source", "negative-fraction", "fraction-sum",
+        "two-fractions"])
 def test_config_loader_rejects_what_it_does_not_know(edit, key, tmp_path, capsys):
     d = [] if edit is None else {"data": {"path": "d.csv"}, **edit}
     named = _named(key)
@@ -339,6 +344,31 @@ def test_run_metrics_rows_count_the_test_split(run_dir):
         head_errors = int(np.sum(head != difficult.labels))
         assert errors[variant, "difficult"] == head_errors
         assert errors[variant, "combined"] == errors["base", "easy"] + head_errors
+
+
+def _metrics_table(out):
+    return list(csv.reader(io.StringIO((out / "metrics.csv").read_text())))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_single_variant_run_writes_its_own_part_of_the_full_run(variant, run_dir, tmp_path):
+    result = run_experiment(_small_cfg(out_dir=str(tmp_path)), variants=(variant,))
+    others = [v for v in VARIANTS if v != variant]
+    full = _metrics_table(run_dir)
+    assert {row[0] for row in full[1:]} == {"base", *VARIANTS}  # fixture sanity
+    assert _metrics_table(tmp_path) == [row for row in full if row[0] not in others]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    full_summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary == {key: value for key, value in full_summary.items()
+                       if not key.startswith(tuple(f"{v}_" for v in others))}
+    assert [p.name for p in tmp_path.glob("pipeline_*.zip")] == [f"pipeline_{variant}.zip"]
+    assert getattr(result, variant) is not None
+    assert all(getattr(result, v) is None for v in others)
+
+
+def test_an_unknown_variant_is_named():
+    with pytest.raises(ValueError, match="unknown variants.*'boosted'"):
+        run_experiment(_small_cfg(), variants=("boosted",))
 
 
 def test_cli_partial_commands(run_dir, tmp_path, capsys):
