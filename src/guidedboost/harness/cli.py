@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands (``COMMANDS``) mirror the protocol stages. All configuration
-comes from a JSON file (--config); --seed and --out override the
-corresponding config fields. Exit code 0 on success, 1 on failure with a
-stage-tagged message on stderr.
+Subcommands (``COMMANDS``) mirror the protocol stages. The protocol commands
+read a JSON config (--config); --seed and --out override its fields.
+``evaluate`` takes --pipeline, --data and --format, and ``predict`` also --out.
+Exit code 0 on success, 1 on failure with a stage-tagged message on stderr, 2
+on a usage error.
 """
 from __future__ import annotations
 
@@ -25,10 +26,14 @@ from .io import DATA_FORMATS, load_file, output_dir, write_dense_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON experiment config")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--out", help="override the config output directory")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="path to a JSON experiment config")
+    config.add_argument("--seed", type=int, help="override the config seed")
+    config.add_argument("--out", help="override the config output directory")
+    archive = argparse.ArgumentParser(add_help=False)
+    archive.add_argument("--pipeline", required=True, help="path to a saved pipeline archive")
+    archive.add_argument("--data", required=True, help="path to the dataset file")
+    archive.add_argument("--format", choices=DATA_FORMATS, default="dense")
 
     parser = argparse.ArgumentParser(
         prog="guidedboost",
@@ -36,11 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if handler in (_cmd_evaluate, _cmd_predict):
-            p.add_argument("--pipeline", required=True, help="path to a saved pipeline archive")
-            p.add_argument("--data", required=True, help="path to the dataset file")
-            p.add_argument("--format", choices=DATA_FORMATS, default="dense")
+        reads_archive = handler in (_cmd_evaluate, _cmd_predict)
+        p = sub.add_parser(name, parents=[archive if reads_archive else config], help=help_text)
+        if handler is _cmd_predict:
+            p.add_argument("--out", help="write predictions.csv there instead of to stdout")
     return parser
 
 

@@ -2,28 +2,30 @@
 
 Layout: ``manifest.json`` describes every component (kinds, widths, seeds,
 thresholds, feature indices) and an ``arrays`` table mapping logical names to
-raw little-endian blobs under ``arrays/``. The manifest's ``kind`` is
-"guided" (pair models under ``models_1_to_4``, Model 5 under ``model_5``) or
-"classic" (the single Model under ``model``), read off the stage's pair
-models. A forest (a forest base, or a 1-NN base's error proxy) is stored as
-its six arrays, as ``classifiers.forest`` lays them out; the base's ``type``
-is read off its model. Parameters are ``<f8``, integer
-tables ``<i8``. Members are stored uncompressed: float64 weights barely
-deflate, and compressing them cost most of a save. Archives written with
-deflated members, as earlier releases did, still load. Every member carries
-one fixed timestamp, so a pipeline always saves to the same bytes. Loading
-validates the format tag, the version, every blob's dtype and byte length, and
-the type of every other manifest value, read through ``typed_json.Node``: the
-typed reader the config loader shares, whose errors name the key. So
-truncation, foreign files and hand edits fail with a diagnostic instead of
-garbage predictions. A member whose bytes are damaged (a bad CRC-32, a broken
-header, a flag or compression method the reader refuses) fails with a
+raw little-endian blobs under ``arrays/``: ``<f8`` for a float array, ``<i8``
+otherwise. The manifest's ``kind`` is "guided" (pair models under
+``models_1_to_4``, Model 5 under ``model_5``) or "classic" (the single Model
+under ``model``), read off the stage's pair models. Every network is one
+record, written by ``_store_net`` and read by ``_load_net``: ``input_width``,
+``seed``, its layer specs by name and ``n_arrays``, the count of its blobs
+``{prefix}_a{i}``; a Model's record starts with ``"present": true``. A forest
+(a forest base, or a 1-NN base's error proxy) is stored as its six arrays, as
+``classifiers.forest`` lays them out; the base's ``type`` is read off its
+model. Members are stored uncompressed: float64 weights barely deflate, and
+compressing them cost most of a save. Archives written with deflated members,
+as earlier releases did, still load. Every member carries one fixed
+timestamp, so a pipeline always saves to the same bytes. Loading validates
+the format tag, the version, every blob's dtype and byte length, and the type
+of every other manifest value, read through ``typed_json.Node``: the typed
+reader the config loader shares, whose errors name the key. A forest must
+hold that layout (1-D arrays, one node count, roots rising from 0, a leaf's
+children -1, split node i's children i + 1 and past it, features below the
+base's input width), and feature selection indices must lie below
+``n_raw_features``. So truncation, foreign files and hand edits fail with a
+diagnostic that names the key or blob, instead of garbage predictions or a
+prediction that never ends. A member whose bytes are damaged (a bad CRC-32, a
+broken header, a flag or compression method the reader refuses) fails with a
 ValueError that names it.
-
-Save and load hold one blob at a time. ``save`` writes each blob straight
-from its array's memory. ``load`` checks every blob's dtype and byte length
-against the zip directory up front, then reads each blob, in chunks, into
-its array only when the network or base that owns it is built.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import json
 import zipfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Callable
 
 import numpy as np
@@ -61,32 +63,6 @@ _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 _READ_CHUNK = 1 << 20
 # reads one blob by name, as the array its manifest entry describes
 _Blob = Callable[[str], np.ndarray]
-class _ArrayStore:
-    """The arrays table of a manifest, and the arrays its blobs are written from."""
-
-    def __init__(self):
-        self.entries: dict[str, dict] = {}
-        self.arrays: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, arr: np.ndarray, dtype: str = _FLOAT):
-        if dtype not in (_FLOAT, _INT):
-            raise ValueError(f"unsupported blob dtype {dtype}")
-        if name in self.entries:
-            raise ValueError(f"duplicate array name {name}")
-        self.entries[name] = {
-            "file": f"arrays/{name}.bin",
-            "dtype": dtype,
-            "shape": list(np.shape(arr)),
-        }
-        self.arrays[name] = arr
-
-
-def _spec_to_json(spec: MlpSpec) -> dict:
-    return {
-        "layer_widths": list(spec.layer_widths),
-        "normalize": list(spec.normalize),
-        "activation": list(spec.activation),
-    }
 
 
 def _spec_from_json(d: Node) -> MlpSpec:
@@ -97,16 +73,25 @@ def _spec_from_json(d: Node) -> MlpSpec:
     )
 
 
-def _store_arrays(store: _ArrayStore, prefix: str, net: MLP) -> int:
-    """Store net's state arrays as the blobs ``{prefix}_a{i}``; returns their count."""
-    arrays = net.state_arrays()
-    for i, a in enumerate(arrays):
-        store.add(f"{prefix}_a{i}", a)
-    return len(arrays)
+def _store_net(arrays: dict, prefix: str, net: MLP, **specs: MlpSpec) -> dict:
+    """net's manifest record; its state arrays join arrays as ``{prefix}_a{i}``."""
+    state = net.state_arrays()
+    arrays.update((f"{prefix}_a{i}", a) for i, a in enumerate(state))
+    return {
+        "input_width": net.input_width,
+        "seed": net.seed,
+        **{key: asdict(spec) for key, spec in specs.items()},
+        "n_arrays": len(state),
+    }
 
 
-def _load_arrays(net: MLP, meta: Node, blob: _Blob, prefix: str) -> MLP:
-    """net, holding the ``n_arrays`` blobs ``{prefix}_a{i}`` that meta counts."""
+def _load_net(cls, meta: Node, blob: _Blob, prefix: str, *spec_keys: str) -> MLP:
+    """The cls network that the record meta describes, holding its blobs."""
+    net = cls(
+        meta.get("input_width", "count"),
+        *(_spec_from_json(meta.get(key, "object")) for key in spec_keys),
+        meta.get("seed", "seed"),
+    )
     n_arrays, own = meta.get("n_arrays", "count"), len(net.state_arrays())
     if n_arrays != own:
         raise ValueError(
@@ -117,64 +102,66 @@ def _load_arrays(net: MLP, meta: Node, blob: _Blob, prefix: str) -> MLP:
     return net
 
 
-def _store_model(store: _ArrayStore, prefix: str, model: EncoderProjectionModel) -> dict:
-    return {
-        "present": True,
-        "input_width": model.input_width,
-        "seed": model.seed,
-        "encoder": _spec_to_json(model.encoder_spec),
-        "projection": _spec_to_json(model.projection_spec),
-        "n_arrays": _store_arrays(store, prefix, model),
-    }
+def _store_model(arrays: dict, prefix: str, model: EncoderProjectionModel) -> dict:
+    return {"present": True, **_store_net(arrays, prefix, model, encoder=model.encoder_spec,
+                                          projection=model.projection_spec)}
 
 
 def _load_model(meta: Node, blob: _Blob, prefix: str) -> EncoderProjectionModel:
-    model = EncoderProjectionModel(
-        meta.get("input_width", "count"),
-        _spec_from_json(meta.get("encoder", "object")),
-        _spec_from_json(meta.get("projection", "object")),
-        meta.get("seed", "seed"),
-    )
-    return _load_arrays(model, meta, blob, prefix)
+    return _load_net(EncoderProjectionModel, meta, blob, prefix, "encoder", "projection")
 
 
-def _store_auxiliary(store: _ArrayStore, head: MLP) -> dict:
-    return {
-        "input_width": head.input_width,
-        "seed": head.seed,
-        "spec": _spec_to_json(head.spec),
-        "n_arrays": _store_arrays(store, "aux", head),
-    }
+def _check_blob(ok, name: str, rule: str):
+    if not ok:
+        raise ValueError(f"pipeline container blob {name} is corrupt: {rule}")
 
 
-def _load_auxiliary(meta: Node, blob: _Blob) -> MLP:
-    head = MLP(
-        meta.get("input_width", "count"),
-        _spec_from_json(meta.get("spec", "object")),
-        meta.get("seed", "seed"),
-    )
-    return _load_arrays(head, meta, blob, "aux")
+def _store_fields(arrays: dict, prefix: str, obj):
+    """obj's array fields join arrays as the blobs ``{prefix}_{field}``."""
+    arrays.update((f"{prefix}_{f.name}", getattr(obj, f.name)) for f in fields(obj))
 
 
-def _store_forest(store: _ArrayStore, prefix: str, forest: ForestModel):
+def _load_fields(cls, blob: _Blob, prefix: str):
+    return cls(**{f.name: blob(f"{prefix}_{f.name}") for f in fields(cls)})
+
+
+def _load_forest(blob: _Blob, prefix: str, width: int) -> ForestModel:
+    """The forest in the blobs ``{prefix}_*``, checked to hold the layout
+    ``classifiers.forest`` states: every walk from a root then ends at a leaf,
+    and every split reads one of the base's width features."""
+    forest = _load_fields(ForestModel, blob, prefix)
+    feature, left, right, roots = forest.feature, forest.left, forest.right, forest.roots
+    n, i = left.size, np.arange(left.size)
     for f in fields(ForestModel):
-        arr = getattr(forest, f.name)
-        store.add(f"{prefix}_{f.name}", arr, _FLOAT if arr.dtype.kind == "f" else _INT)
+        a = getattr(forest, f.name)
+        dtype = _FLOAT if f.name in ("threshold", "p1") else _INT
+        _check_blob(a.dtype == dtype and a.ndim == 1 and (f.name == "roots" or len(a) == n),
+                    f"{prefix}_{f.name}", f"it is {a.dtype.str} of shape {a.shape}, not 1-D "
+                    f"{dtype}" + ("" if f.name == "roots" else f" of {n} nodes"))
+    _check_blob(len(roots) and roots[0] == 0 and (np.diff(roots) > 0).all() and roots[-1] < n,
+                f"{prefix}_roots", f"tree roots must start at 0 and rise strictly below {n}")
+    leaf = left == -1
+    for name, bad, rule in (
+        ("right", leaf & (right != -1), "a leaf's right child is not -1"),
+        ("left", ~leaf & (left != i + 1), "a split node's left child is not the next node"),
+        ("right", ~leaf & ((right <= i + 1) | (right >= n)),
+         f"a split node's right child is not past its left child and below {n}"),
+        ("feature", ~leaf & ((feature < 0) | (feature >= width)),
+         f"a split node's feature is outside [0, {width})"),
+    ):
+        _check_blob(not bad.any(), f"{prefix}_{name}", f"node {int(np.argmax(bad))}: {rule}")
+    return forest
 
 
-def _load_forest(blob: _Blob, prefix: str) -> ForestModel:
-    return ForestModel(**{f.name: blob(f"{prefix}_{f.name}") for f in fields(ForestModel)})
-
-
-def _store_base(store: _ArrayStore, base) -> dict:
+def _store_base(arrays: dict, base) -> dict:
     if isinstance(base, IdentityAdapter) and isinstance(base.model, ForestModel):
-        _store_forest(store, "base_forest", base.model)
+        _store_fields(arrays, "base_forest", base.model)
         return {"type": "forest"}
     if isinstance(base, IdentityAdapter):
-        store.add("base_weights", base.model.weights)
+        arrays["base_weights"] = base.model.weights
         return {"type": "logistic", "bias": base.model.bias}
     if isinstance(base, SvmAdapter):
-        store.add("base_weights", base.model.weights)
+        arrays["base_weights"] = base.model.weights
         r = base.score_range
         return {
             "type": "svm",
@@ -182,15 +169,14 @@ def _store_base(store: _ArrayStore, base) -> dict:
             "score_range": {"f_min": r.f_min, "f_max": r.f_max, **_P_RANGE},
         }
     if isinstance(base, KnnAdapter):
-        store.add("knn_values", base.model.values)
-        store.add("knn_labels", base.model.labels, _INT)
-        store.add("knn_ids", base.model.ids, _INT)
-        _store_forest(store, "proxy_forest", base.proxy)
+        _store_fields(arrays, "knn", base.model)
+        _store_fields(arrays, "proxy_forest", base.proxy)
         return {"type": "knn"}
     raise ValueError(f"cannot serialize base adapter of type {type(base).__name__}")
 
 
-def _load_base(meta: Node, blob: _Blob):
+def _load_base(meta: Node, blob: _Blob, width: int):
+    """The base that meta describes, which reads rows of width features."""
     kind = meta.get("type", "text")
     if kind == "logistic":
         return IdentityAdapter(
@@ -209,51 +195,52 @@ def _load_base(meta: Node, blob: _Blob):
             ScoreRange(float(r.get("f_min", "number")), float(r.get("f_max", "number"))),
         )
     if kind == "forest":
-        return IdentityAdapter(_load_forest(blob, "base_forest"))
+        return IdentityAdapter(_load_forest(blob, "base_forest", width))
     if kind == "knn":
-        model = NearestNeighborModel(
-            values=blob("knn_values"),
-            labels=blob("knn_labels"),
-            ids=blob("knn_ids"),
-        )
-        return KnnAdapter(model, _load_forest(blob, "proxy_forest"))
+        model = _load_fields(NearestNeighborModel, blob, "knn")
+        return KnnAdapter(model, _load_forest(blob, "proxy_forest", width))
     raise ValueError(f"unknown base type {kind!r} in manifest")
 
 
 def save(pipeline: Pipeline, path) -> None:
     """Write the pipeline container; see the module docstring for the layout."""
-    store = _ArrayStore()
+    arrays: dict[str, np.ndarray] = {}
     manifest: dict = {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
         "thresholds": {"th_n": pipeline.thresholds.th_n, "th_p": pipeline.thresholds.th_p},
         "n_raw_features": int(pipeline.n_raw_features),
         "metadata": pipeline.metadata,
-        "base": _store_base(store, pipeline.base),
+        "base": _store_base(arrays, pipeline.base),
     }
     if pipeline.feature_selection is not None:
-        store.add("feature_selection", pipeline.feature_selection, _INT)
-        manifest["feature_selection"] = True
-    else:
-        manifest["feature_selection"] = False
+        arrays["feature_selection"] = pipeline.feature_selection
+    manifest["feature_selection"] = pipeline.feature_selection is not None
 
     stage = pipeline.stage
     manifest["kind"] = kind = "guided" if stage.models_1_to_4 else "classic"
     if stage.models_1_to_4:
         manifest["models_1_to_4"] = [
-            {"present": False} if model is None else _store_model(store, f"model{k}", model)
+            {"present": False} if model is None else _store_model(arrays, f"model{k}", model)
             for k, model in enumerate(stage.models_1_to_4, start=1)
         ]
     key, prefix = _MODEL_KEYS[kind]
-    manifest[key] = _store_model(store, prefix, stage.model)
-    manifest["auxiliary"] = _store_auxiliary(store, stage.auxiliary)
-    manifest["arrays"] = store.entries
+    manifest[key] = _store_model(arrays, prefix, stage.model)
+    manifest["auxiliary"] = _store_net(arrays, "aux", stage.auxiliary, spec=stage.auxiliary.spec)
+    manifest["arrays"] = table = {
+        name: {
+            "file": f"arrays/{name}.bin",
+            "dtype": _FLOAT if np.asarray(a).dtype.kind == "f" else _INT,
+            "shape": list(np.shape(a)),
+        }
+        for name, a in arrays.items()
+    }
 
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         zf.writestr(zipfile.ZipInfo("manifest.json", date_time=_ZIP_DATE),
                     json.dumps(manifest, indent=2))
-        for name, entry in store.entries.items():
-            arr = np.asarray(store.arrays[name], entry["dtype"], order="C")
+        for name, entry in table.items():
+            arr = np.asarray(arrays[name], entry["dtype"], order="C")
             # written from the array's own memory, so a save holds no blob's bytes
             zf.writestr(zipfile.ZipInfo(entry["file"], date_time=_ZIP_DATE),
                         arr.reshape(-1).view(np.uint8))
@@ -285,11 +272,8 @@ def _blob_reader(zf: zipfile.ZipFile, table: Node) -> _Blob:
         if dtype not in (_FLOAT, _INT):
             raise ValueError(f"pipeline container blob {name} has unsupported dtype {dtype!r}")
         expected = int(np.prod(shape, dtype=np.int64)) * 8
-        if info.file_size != expected:
-            raise ValueError(
-                f"pipeline container blob {name} is corrupt: "
-                f"expected {expected} bytes, found {info.file_size}"
-            )
+        _check_blob(info.file_size == expected, name,
+                    f"expected {expected} bytes, found {info.file_size}")
         found[name] = (info, dtype, shape)
 
     def blob(name: str) -> np.ndarray:
@@ -354,19 +338,22 @@ def _from_manifest(manifest: Node, blob: _Blob) -> Pipeline:
     stage = Stage(
         models_1_to_4=models_1_to_4,
         model=_load_model(manifest.get(key, "object"), blob, prefix),
-        auxiliary=_load_auxiliary(manifest.get("auxiliary", "object"), blob),
+        auxiliary=_load_net(MLP, manifest.get("auxiliary", "object"), blob, "aux", "spec"),
     )
     thresholds = manifest.get("thresholds", "object")
+    selection = blob("feature_selection") if manifest.get("feature_selection", "flag") else None
+    _check_blob(selection is None or (selection.dtype == _INT and selection.ndim == 1
+                                      and ((0 <= selection) & (selection < n_raw)).all()),
+                "feature_selection", f"it must list indices of the {n_raw} raw features")
     return Pipeline(
-        base=_load_base(manifest.get("base", "object"), blob),
+        base=_load_base(manifest.get("base", "object"), blob,
+                        n_raw if selection is None else len(selection)),
         thresholds=ThresholdPair(
             th_n=float(thresholds.get("th_n", "number")),
             th_p=float(thresholds.get("th_p", "number")),
         ),
         stage=stage,
         n_raw_features=n_raw,
-        feature_selection=(
-            blob("feature_selection") if manifest.get("feature_selection", "flag") else None
-        ),
+        feature_selection=selection,
         metadata=manifest.get("metadata", "object", {}).obj,
     )

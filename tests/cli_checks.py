@@ -15,7 +15,8 @@ predicts every row of a written synthetic dataset; ``guided-retrain`` and
 with one flipped blob byte, a misspelt config key, a value of the wrong
 type, an out-of-range base setting and a data section without a source each
 fail with an ``error:`` line that names the cause, and the failed runs write
-no output directory.
+no output directory; ``evaluate`` and ``predict`` refuse a config option,
+which they would ignore, with a usage error (exit 2) that names it.
 """
 from __future__ import annotations
 
@@ -105,6 +106,14 @@ def run_checks(command: list[str], workdir: Path) -> None:
     _check(lines == 401, f"predictions.csv has {lines} lines, not a header and 400 rows")
     _fails_naming(command, [*predict, "damaged_guided.zip", "--out", "damaged_out"], workdir,
                   "arrays/model5_a0.bin is corrupt")
+
+    # the commands that read an archive take no config option
+    archive_args = ["--pipeline", "out/pipeline_guided.zip", "--data", "out/synthetic.csv"]
+    for args, flag in ((["evaluate", *archive_args, "--seed", "7"], "--seed"),
+                       (["predict", *archive_args, "--config", cfg], "--config")):
+        stderr = _run(command, args, workdir, status=2).stderr
+        _check(re.search(rf"^\S+: error: unrecognized arguments: {flag}\b", stderr, re.MULTILINE),
+               f"{' '.join(args)} failed without naming {flag}\n{stderr}")
 
     # a config the loader refuses fails before any stage, naming the key
     bad_configs = (

@@ -1,11 +1,15 @@
 """Pipeline container round-trips and corruption diagnostics."""
+import copy
 import io
 import json
 import re
+import signal
 import struct
 import time
 import tracemalloc
 import zipfile
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,7 @@ from guidedboost.classifiers.adapters import (
     KnnAdapter,
     SvmAdapter,
 )
-from guidedboost.classifiers.forest import ForestConfig, train_random_forest
+from guidedboost.classifiers.forest import ForestConfig, ForestModel, train_random_forest
 from guidedboost.classifiers.knn import NearestNeighborModel
 from guidedboost.classifiers.linear import train_linear_svm, train_logistic
 from guidedboost.data import FeatureMatrix, ThresholdPair, prediction_report
@@ -239,8 +243,12 @@ def test_save_and_load_hold_one_blob_at_a_time(tmp_path):
 # 1-NN base over make_blobs(6, 3, gap=1.0, scale=1.5, seed=6) whose error
 # proxy was fitted on the data (ForestConfig(n_trees=3, max_depth=3, seed=2),
 # thresholds (0, 1)); each through guided_fit with its own base's report,
-# CFG and seed 0. Labels and routes ("a" for the auxiliary head, "b" for the
-# base) are those the writing release predicted on the same data.
+# CFG and seed 0. svm_fs has an svm base and a feature selection blob: on
+# make_blobs(12, 5, gap=1.0, scale=1.5, seed=5), features [3, 0, 4] kept,
+# an svm base fitted on them, thresholds (0.3, 0.7), through guided_fit with
+# its own report, CFG and seed 0. Labels and routes ("a" for the auxiliary
+# head, "b" for the base) are those the writing release predicted on the
+# same data.
 ARCHIVES = Path(__file__).parent / "data"
 EARLIER = {
     "guided": ({}, "0" * 12 + "1" * 12, "b" * 24),
@@ -249,7 +257,14 @@ EARLIER = {
                "010000000000110110110111", "baaaaabbbbbbbbaabbbbaabb"),
     "knn": ({"gap": 1.0, "scale": 1.5},
             "010100100011000110101011", "aaaaaaabaaaaaaaababaaaaa"),
+    "svm_fs": ({"gap": 1.0, "scale": 1.5, "n_features": 5},
+               "010000001101111001011111", "ababaabbaaabbaaababaabaa"),
 }
+
+
+def _rows(kind):
+    """The rows whose labels and routes fixture kind recorded."""
+    return make_blobs(**{"n_per_class": 12, "n_features": 3, "seed": 5, **EARLIER[kind][0]})
 
 
 @pytest.mark.parametrize("kind, present", [
@@ -257,6 +272,7 @@ EARLIER = {
     ("classic", []),
     ("forest", [True] * 4),
     ("knn", [True] * 4),
+    ("svm_fs", [True] * 4),
 ])
 def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path):
     path = ARCHIVES / f"archive_{kind}_v1.zip"
@@ -264,7 +280,9 @@ def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path)
     with zipfile.ZipFile(path) as zf:
         manifest = json.loads(zf.read("manifest.json"))
     assert manifest["kind"] == ("guided" if present else "classic")
-    assert manifest["base"]["type"] == (kind if kind in ("forest", "knn") else "logistic")
+    assert manifest["base"]["type"] == {"forest": "forest", "knn": "knn", "svm_fs": "svm"}.get(
+        kind, "logistic")
+    assert manifest["feature_selection"] == (kind == "svm_fs")
     assert [m is not None for m in back.stage.models_1_to_4] == present
     again = tmp_path / "again.zip"
     save(back, again)
@@ -272,9 +290,8 @@ def test_earlier_archive_loads_and_saves_byte_identical(kind, present, tmp_path)
         assert old.namelist() == new.namelist()
         for name in old.namelist():
             assert old.read(name) == new.read(name), name
-    blobs, labels, routes = EARLIER[kind]
-    data = make_blobs(n_per_class=12, n_features=3, seed=5, **blobs)
-    got_labels, got_routes = pipeline_predict(back, data)
+    _, labels, routes = EARLIER[kind]
+    got_labels, got_routes = pipeline_predict(back, _rows(kind))
     assert "".join(map(str, got_labels)) == labels
     assert "".join(r[0] for r in got_routes) == routes
 
@@ -286,10 +303,8 @@ def _loads_as_recorded_or_fails_with_a_value_error(kind, raw):
         back = load(io.BytesIO(raw))
     except ValueError:
         return
-    blobs, labels, routes = EARLIER[kind]
-    got_labels, got_routes = pipeline_predict(
-        back, make_blobs(n_per_class=12, n_features=3, seed=5, **blobs)
-    )
+    _, labels, routes = EARLIER[kind]
+    got_labels, got_routes = pipeline_predict(back, _rows(kind))
     assert "".join(map(str, got_labels)) == labels
     assert "".join(r[0] for r in got_routes) == routes
 
@@ -342,14 +357,140 @@ def test_a_fixture_with_one_manifest_value_edited_predicts_or_fails_loudly(kind,
     edited = json.dumps(json_edited(_MANIFESTS[kind], path, value)).encode()
     raw = _rewrite(io.BytesIO(_FIXTURES[kind]), io.BytesIO(),
                    lambda name, b: edited if name == "manifest.json" else b).getvalue()
-    rows = make_blobs(n_per_class=12, n_features=3, seed=5, **EARLIER[kind][0])
+    _predicts_or_fails_with_a_value_error(kind, raw)
+
+
+def _predicts_or_fails_with_a_value_error(kind, raw):
+    """Load raw, the edited bytes of fixture kind, and predict its rows:
+    either a ValueError, or a 0/1 label and a route for every row. An alarm
+    fails a prediction that never ends."""
+    rows = _rows(kind)
     try:
-        labels, routes = pipeline_predict(load(io.BytesIO(raw)), rows)
+        with _deadline():
+            labels, routes = pipeline_predict(load(io.BytesIO(raw)), rows)
     except ValueError:
         return
     assert labels.shape == routes.shape == (rows.n_samples,)
     assert set(labels.tolist()) <= {0, 1}
     assert set(routes.tolist()) <= {ROUTE_BASE, ROUTE_AUXILIARY}
+
+
+@contextmanager
+def _deadline(seconds=5):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _with_blobs(kind, edit):
+    """Fixture kind with its blobs read as arrays, changed by edit(arrays),
+    and zipped again; each blob's manifest dtype and shape follow its array."""
+    manifest = copy.deepcopy(_MANIFESTS[kind])
+    table = manifest["arrays"]
+    with zipfile.ZipFile(io.BytesIO(_FIXTURES[kind])) as zf:
+        arrays = {name: np.frombuffer(zf.read(e["file"]), e["dtype"]).reshape(e["shape"]).copy()
+                  for name, e in table.items()}
+    edit(arrays)
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for name, e in table.items():
+            e["dtype"], e["shape"] = arrays[name].dtype.str, list(arrays[name].shape)
+        zf.writestr("manifest.json", json.dumps(manifest))
+        for name, e in table.items():
+            zf.writestr(e["file"], arrays[name].tobytes())
+    return out.getvalue()
+
+
+# each fixture's integer blobs
+_INT_BLOBS = {
+    kind: [name for name, e in m["arrays"].items() if e["dtype"] == "<i8"]
+    for kind, m in _MANIFESTS.items()
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(k for k, names in _INT_BLOBS.items() if names)),
+       data=st.data())
+def test_a_fixture_with_one_integer_blob_value_set_predicts_or_fails_loudly(kind, data):
+    """One entry of a forest, knn or feature selection blob set to a small
+    value, an index near an array's end, or a far one."""
+    name = data.draw(st.sampled_from(_INT_BLOBS[kind]), "blob")
+    size = int(np.prod(_MANIFESTS[kind]["arrays"][name]["shape"]))
+    at = data.draw(st.integers(0, size - 1), "at")
+    value = data.draw(st.one_of(st.integers(-2, size + 2), st.sampled_from([99, -(2**40), 2**40])),
+                      "value")
+
+    def edit(arrays):
+        arrays[name].reshape(-1)[at] = value
+
+    _predicts_or_fails_with_a_value_error(kind, _with_blobs(kind, edit))
+
+
+def _replaced(a, at, value):
+    a = a.copy()
+    a[at] = value
+    return a
+
+
+def _split(forest):
+    return int(np.flatnonzero(forest["left"] >= 0)[0])
+
+
+def _leaf(forest):
+    return int(np.flatnonzero(forest["left"] == -1)[0])
+
+
+# rule -> (the array it breaks, that array broken, from the forest's arrays
+# by field); the fixtures' bases read 3 features
+_FOREST_RULES = {
+    "two-dimensional": ("threshold", lambda f: f["threshold"].reshape(1, -1)),
+    "float-indices": ("left", lambda f: f["left"].astype(np.float64)),
+    "one-node-short": ("p1", lambda f: f["p1"][:-1]),
+    "roots-not-from-0": ("roots", lambda f: _replaced(f["roots"], 0, 1)),
+    "roots-not-rising": ("roots", lambda f: _replaced(f["roots"], 1, 0)),
+    "roots-past-the-end": ("roots", lambda f: _replaced(f["roots"], -1, len(f["left"]))),
+    "leaf-with-a-child": ("right", lambda f: _replaced(f["right"], _leaf(f), 1)),
+    "left-child-backward": ("left", lambda f: _replaced(f["left"], _split(f), _split(f))),
+    "right-child-backward": ("right", lambda f: _replaced(f["right"], _split(f), _split(f) + 1)),
+    "right-child-past-the-end": ("right",
+                                 lambda f: _replaced(f["right"], _split(f), len(f["left"]))),
+    "feature-negative": ("feature", lambda f: _replaced(f["feature"], _split(f), -1)),
+    "feature-too-wide": ("feature", lambda f: _replaced(f["feature"], _split(f), 3)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_FOREST_RULES))
+@pytest.mark.parametrize("kind, prefix", [("forest", "base_forest"), ("knn", "proxy_forest")])
+def test_load_refuses_a_forest_off_its_layout_naming_the_blob(kind, prefix, rule):
+    """A forest whose walks could loop forever, or read a feature the rows
+    lack, fails at load; an alarm fails a prediction that never ends."""
+    name, broken = _FOREST_RULES[rule]
+
+    def edit(arrays):
+        forest = {f.name: arrays[f"{prefix}_{f.name}"] for f in fields(ForestModel)}
+        arrays[f"{prefix}_{name}"] = broken(forest)
+
+    raw = _with_blobs(kind, edit)
+    with pytest.raises(ValueError, match=f"blob {prefix}_{name} is corrupt"), _deadline():
+        pipeline_predict(load(io.BytesIO(raw)), _rows(kind))
+
+
+@pytest.mark.parametrize("value", [99, 5, -1])
+def test_load_refuses_a_feature_selection_entry_out_of_range(value):
+    def edit(arrays):
+        arrays["feature_selection"][1] = value
+
+    raw = _with_blobs("svm_fs", edit)
+    with pytest.raises(ValueError, match="blob feature_selection is corrupt"):
+        load(io.BytesIO(raw))
 
 
 # ------------------------------------------------------------ corruption
