@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import (
-    FeatureMatrix,
-    PredictionReport,
-    check_report_alignment,
-    prediction_report,
-)
+from ..data import FeatureMatrix
 from .forest import ForestConfig, ForestModel, train_random_forest
 from .knn import NearestNeighborModel
 from .linear import LinearModel
@@ -81,18 +76,21 @@ def decision_to_probability(scores: np.ndarray, rng: ScoreRange) -> np.ndarray:
 
 
 def train_error_proxy(
-    data: FeatureMatrix, base_report: PredictionReport, cfg: ForestConfig | None = None
+    data: FeatureMatrix, predictions, cfg: ForestConfig | None = None
 ) -> ForestModel:
     """Forest that learns where the base classifier errs.
 
-    Proxy labels: 1 iff the base misclassified the sample. Samples the proxy
-    later scores with probability exactly 0 are the ones every tree considers
-    safe, and they form the easy set. ``base_report`` must hold data's rows
-    in data's order.
+    Proxy labels: 1 iff the base's label, one of ``predictions`` per row of
+    data, is wrong. Samples the proxy later scores with probability exactly
+    0 are the ones every tree considers safe, and they form the easy set.
     """
     cfg = cfg or ForestConfig()
-    check_report_alignment(base_report, data, "train_error_proxy")
-    wrong = (base_report.predictions != data.labels).astype(np.int64)
+    predictions = np.asarray(predictions)
+    if predictions.shape != data.labels.shape:
+        raise ValueError(
+            f"train_error_proxy: {predictions.size} predictions for {data.n_samples} rows"
+        )
+    wrong = (predictions != data.labels).astype(np.int64)
     proxy = FeatureMatrix(values=data.values, labels=wrong, ids=data.ids)
     return train_random_forest(proxy, cfg)
 
@@ -150,10 +148,7 @@ class KnnAdapter:
         train: FeatureMatrix,
         cfg: ForestConfig | None = None,
     ) -> "KnnAdapter":
-        base_report = prediction_report(
-            model.predict_proba(train.values), train.labels, train.ids
-        )
-        return cls(model, train_error_proxy(train, base_report, cfg))
+        return cls(model, train_error_proxy(train, model.predict(train.values), cfg))
 
     def predict_probabilities(self, X: np.ndarray) -> np.ndarray:
         half_q = self.proxy.predict_proba(X) / 2.0

@@ -123,10 +123,6 @@ class PredictionReport:
     def predictions(self) -> np.ndarray:
         return (self.probabilities >= 0.5).astype(np.int64)
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.ids)
-
 
 def prediction_report(probabilities, labels, ids) -> PredictionReport:
     """Assemble a PredictionReport from probabilities and true labels."""
@@ -135,15 +131,14 @@ def prediction_report(probabilities, labels, ids) -> PredictionReport:
     ids = np.asarray(ids, dtype=np.int64)
     if not (len(probabilities) == len(labels) == len(ids)):
         raise ValueError("probabilities, labels and ids must have equal length")
-    if probabilities.size and (probabilities.min() < 0.0 or probabilities.max() > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    _check_probabilities(probabilities)
     return PredictionReport(ids=_frozen(ids), probabilities=_frozen(probabilities))
 
 
-def check_report_alignment(report: PredictionReport, data: FeatureMatrix, what: str):
-    """Fail unless the report holds the dataset's rows in the dataset's order."""
-    if not np.array_equal(report.ids, data.ids):
-        raise ValueError(f"{what}: report ids do not align with the dataset's ids")
+def _check_probabilities(probabilities: np.ndarray):
+    # a NaN carries through min and max and fails both comparisons
+    if probabilities.size and not (0.0 <= probabilities.min() and probabilities.max() <= 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -193,16 +188,14 @@ class SplitAssignment:
             raise ValueError("easy and difficult id sets overlap")
 
 
-def confusion_partition(report: PredictionReport, labels) -> np.ndarray:
-    """One confusion tag ("TP", "FP", "TN" or "FN") per row of the report.
-
-    ``labels`` must align with ``report.ids`` element-wise.
-    """
+def confusion_partition(probabilities, labels) -> np.ndarray:
+    """One confusion tag ("TP", "FP", "TN" or "FN") per row: the base's
+    prediction, ``probability >= 0.5``, against the row's true label."""
+    probabilities = np.asarray(probabilities, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != report.n_samples:
-        raise ValueError(
-            f"labels length {len(labels)} does not match report length {report.n_samples}"
-        )
-    preds = report.predictions
+    if probabilities.shape != labels.shape:
+        raise ValueError(f"{probabilities.size} probabilities for {labels.size} labels")
+    _check_probabilities(probabilities)
+    preds = (probabilities >= 0.5).astype(np.int64)
     # CONFUSION_TAGS order: predicted positive then negative, right then wrong
     return _frozen(np.array(CONFUSION_TAGS)[2 * (1 - preds) + (preds != labels)])

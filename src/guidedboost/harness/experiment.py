@@ -188,7 +188,7 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         routing = {split: r.probabilities for split, r in reports.items()}
 
     with _stage("calibrate"):
-        tags = confusion_partition(reports["validation"], parts["validation"].labels)
+        tags = confusion_partition(routing["validation"], parts["validation"].labels)
         tolerated = tolerated_counts(
             cfg.tolerance, int(np.sum(tags == "FP")), int(np.sum(tags == "FN"))
         )
@@ -205,7 +205,7 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         }
 
     with _stage("curve"):
-        test_tags = confusion_partition(reports["test"], parts["test"].labels)
+        test_tags = confusion_partition(routing["test"], parts["test"].labels)
         curves = {
             "validation": accumulated_error_curve(routing["validation"], tags, CURVE_GRID),
             "test": accumulated_error_curve(routing["test"], test_tags, CURVE_GRID),
@@ -240,13 +240,10 @@ def _fit_variant(name: str, prep: Prepared, cfg: ExperimentConfig) -> Stage:
     with _stage(f"{name}-retrain"):
         if name == "classic":
             return classic_fit(train, val, cfg.retrain, seed=cfg.seed)
-        # the base predictions that routed the rows, not a second pass
-        reports = {}
-        for split, part in (("train", train), ("validation", val)):
-            r, hard = prep.reports[split], ~prep.thresholds.easy(prep.routing[split])
-            reports[split] = prediction_report(r.probabilities[hard], part.labels, r.ids[hard])
-        return guided_fit(train, reports["train"], val, cfg.retrain,
-                          val_report=reports["validation"], seed=cfg.seed)
+        # the base probabilities that routed the rows, not a second pass
+        train_p, val_p = (prep.routing[split][~prep.thresholds.easy(prep.routing[split])]
+                          for split in ("train", "validation"))
+        return guided_fit(train, train_p, val, val_p, cfg.retrain, seed=cfg.seed)
 
 
 def run_experiment(

@@ -17,10 +17,13 @@ as earlier releases did, still load. Every member carries one fixed
 timestamp, so a pipeline always saves to the same bytes. Loading validates
 the format tag, the version, every blob's dtype and byte length, and the type
 of every other manifest value, read through ``typed_json.Node``: the typed
-reader the config loader shares, whose errors name the key. A forest must
-hold that layout (1-D arrays, one node count, roots rising from 0, a leaf's
-children -1, split node i's children i + 1 and past it, features below the
-base's input width), and feature selection indices must lie below
+reader the config loader shares, whose errors name the key. Every float blob
+must be finite. A forest must hold that layout (1-D arrays, one node count,
+roots rising from 0, a leaf's children -1, split node i's children i + 1 and
+past it, features below the base's input width). A linear base's
+``base_weights`` must hold one weight per input feature, and a 1-NN base's
+``knn_values`` one or more rows of that width, with one ``knn_labels`` and
+one ``knn_ids`` entry per row. Feature selection indices must lie below
 ``n_raw_features``. So truncation, foreign files and hand edits fail with a
 diagnostic that names the key or blob, instead of garbage predictions or a
 prediction that never ends. A member whose bytes are damaged (a bad CRC-32, a
@@ -116,6 +119,11 @@ def _check_blob(ok, name: str, rule: str):
         raise ValueError(f"pipeline container blob {name} is corrupt: {rule}")
 
 
+def _check_shape(a: np.ndarray, name: str, dtype: str, shape: tuple):
+    _check_blob(a.dtype == dtype and a.shape == shape, name,
+                f"it is {a.dtype.str} of shape {a.shape}, not {dtype} of shape {shape}")
+
+
 def _store_fields(arrays: dict, prefix: str, obj):
     """obj's array fields join arrays as the blobs ``{prefix}_{field}``."""
     arrays.update((f"{prefix}_{f.name}", getattr(obj, f.name)) for f in fields(obj))
@@ -134,10 +142,8 @@ def _load_forest(blob: _Blob, prefix: str, width: int) -> ForestModel:
     n, i = left.size, np.arange(left.size)
     for f in fields(ForestModel):
         a = getattr(forest, f.name)
-        dtype = _FLOAT if f.name in ("threshold", "p1") else _INT
-        _check_blob(a.dtype == dtype and a.ndim == 1 and (f.name == "roots" or len(a) == n),
-                    f"{prefix}_{f.name}", f"it is {a.dtype.str} of shape {a.shape}, not 1-D "
-                    f"{dtype}" + ("" if f.name == "roots" else f" of {n} nodes"))
+        _check_shape(a, f"{prefix}_{f.name}", _FLOAT if f.name in ("threshold", "p1") else _INT,
+                     (a.size,) if f.name == "roots" else (n,))
     _check_blob(len(roots) and roots[0] == 0 and (np.diff(roots) > 0).all() and roots[-1] < n,
                 f"{prefix}_roots", f"tree roots must start at 0 and rise strictly below {n}")
     leaf = left == -1
@@ -178,11 +184,12 @@ def _store_base(arrays: dict, base) -> dict:
 def _load_base(meta: Node, blob: _Blob, width: int):
     """The base that meta describes, which reads rows of width features."""
     kind = meta.get("type", "text")
-    if kind == "logistic":
-        return IdentityAdapter(
-            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number")))
-        )
-    if kind == "svm":
+    if kind in ("logistic", "svm"):
+        weights = blob("base_weights")
+        _check_shape(weights, "base_weights", _FLOAT, (width,))
+        model = LinearModel(weights=weights, bias=float(meta.get("bias", "number")))
+        if kind == "logistic":
+            return IdentityAdapter(model)
         r = meta.get("score_range", "object")
         for key, value in _P_RANGE.items():
             if r.get(key, "number") != value:
@@ -191,13 +198,16 @@ def _load_base(meta: Node, blob: _Blob, width: int):
                     f"this build maps svm scores onto [0, 1]"
                 )
         return SvmAdapter(
-            LinearModel(weights=blob("base_weights"), bias=float(meta.get("bias", "number"))),
-            ScoreRange(float(r.get("f_min", "number")), float(r.get("f_max", "number"))),
+            model, ScoreRange(float(r.get("f_min", "number")), float(r.get("f_max", "number")))
         )
     if kind == "forest":
         return IdentityAdapter(_load_forest(blob, "base_forest", width))
     if kind == "knn":
         model = _load_fields(NearestNeighborModel, blob, "knn")
+        n = max(1, model.values.shape[0] if model.values.ndim else 0)  # one row or more
+        for name, dtype, shape in (("values", _FLOAT, (n, width)), ("labels", _INT, (n,)),
+                                   ("ids", _INT, (n,))):
+            _check_shape(getattr(model, name), f"knn_{name}", dtype, shape)
         return KnnAdapter(model, _load_forest(blob, "proxy_forest", width))
     raise ValueError(f"unknown base type {kind!r} in manifest")
 
@@ -289,6 +299,10 @@ def _blob_reader(zf: zipfile.ZipFile, table: Node) -> _Blob:
                 chunk = flat[start : start + _READ_CHUNK]
                 if member.readinto(chunk) != chunk.size:
                     raise EOFError("it ends early")
+        # min and max make no temporary, and a NaN or an infinity reaches one
+        _check_blob(dtype != _FLOAT or not out.size
+                    or (np.isfinite(out.min()) and np.isfinite(out.max())),
+                    name, "it holds a value that is not finite")
         return out
 
     return blob

@@ -23,13 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import (
-    FeatureMatrix,
-    PredictionReport,
-    ThresholdPair,
-    check_report_alignment,
-    confusion_partition,
-)
+from .data import FeatureMatrix, ThresholdPair, confusion_partition
 from .nn.network import (
     MLP,
     EncoderProjectionModel,
@@ -216,10 +210,10 @@ def _fit_pair(k: int, train: FeatureMatrix, rows: np.ndarray, val: FeatureMatrix
 
 def guided_fit(
     difficult_train: FeatureMatrix,
-    base_report: PredictionReport,
+    probabilities: np.ndarray,
     difficult_val: FeatureMatrix,
+    val_probabilities: np.ndarray,
     cfg: RetrainConfig,
-    val_report: PredictionReport,
     *,
     seed: int,
 ) -> Stage:
@@ -234,20 +228,23 @@ def guided_fit(
 
     Args:
         difficult_train: samples inside the calibrated threshold interval.
-        base_report: base predictions on difficult_train (ids aligned).
+        probabilities: the base's probability of each difficult_train row,
+            in row order: the one that routed it. ``confusion_partition``
+            turns it into the row's tag.
         difficult_val: validation samples inside the interval (may be empty).
+        val_probabilities: the base's probability of each difficult_val row.
+            Each pair model early-stops on its own confusion-pair validation
+            subset, or on all of difficult_val when that subset has fewer
+            than 2 rows.
         cfg: architecture + training regime.
-        val_report: base predictions on difficult_val (ids aligned). Each pair
-            model early-stops on its own confusion-pair validation subset, or
-            on all of difficult_val when that subset has fewer than 2 rows.
         seed: master seed.
     """
     _check_difficult(difficult_train, difficult_val, "guided_fit")
-    check_report_alignment(base_report, difficult_train, "guided_fit")
-    check_report_alignment(val_report, difficult_val, "guided_fit (validation)")
-
-    tags = confusion_partition(base_report, difficult_train.labels)
-    val_tags = confusion_partition(val_report, difficult_val.labels)
+    try:
+        tags = confusion_partition(probabilities, difficult_train.labels)
+        val_tags = confusion_partition(val_probabilities, difficult_val.labels)
+    except ValueError as exc:
+        raise ValueError(f"guided_fit: {exc}") from None
     jobs = {}
     for k, pair in enumerate(MODEL_PAIRS, start=1):
         rows = np.flatnonzero(np.isin(tags, pair))

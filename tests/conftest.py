@@ -14,7 +14,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 
-from guidedboost.data import FeatureMatrix, prediction_report  # noqa: E402
+from guidedboost.data import FeatureMatrix  # noqa: E402
 
 
 def make_blobs(n_per_class=50, n_features=3, gap=6.0, scale=1.0, seed=0):
@@ -38,8 +38,8 @@ def empty_like(data):
     )
 
 
-# the base report of an empty validation set
-EMPTY_REPORT = prediction_report([], [], [])
+# the base probabilities of an empty validation set
+NO_PROBABILITIES = np.empty(0)
 
 
 def json_paths(node, path=()):

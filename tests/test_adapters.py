@@ -14,7 +14,7 @@ from guidedboost.classifiers.adapters import (
 from guidedboost.classifiers.forest import ForestConfig, train_random_forest
 from guidedboost.classifiers.knn import NearestNeighborModel
 from guidedboost.classifiers.linear import train_linear_svm, train_logistic
-from guidedboost.data import FeatureMatrix, ThresholdPair, prediction_report
+from guidedboost.data import FeatureMatrix, ThresholdPair
 
 
 # ------------------------------------------------------------- transform
@@ -77,47 +77,44 @@ def test_score_range_construction():
 # ----------------------------------------------------------- error proxy
 
 def _planted_error_setup():
-    """Base report wrong exactly on the low cluster, right on the high one."""
+    """Base labels wrong exactly on the low cluster, right on the high one."""
     rng = np.random.default_rng(5)
     low = rng.uniform(0.0, 1.0, size=(30, 1))
     high = rng.uniform(10.0, 11.0, size=(30, 1))
     values = np.vstack([low, high])
     labels = np.zeros(60, dtype=np.int64)
     preds = np.concatenate([np.ones(30), np.zeros(30)])  # wrong on the low cluster
-    report = prediction_report(preds, labels, np.arange(60))
     data = FeatureMatrix.from_arrays(values, labels)
-    return data, report
+    return data, preds
 
 
 def test_error_proxy_zero_when_base_is_perfect():
     data = make_blobs(n_per_class=20, seed=2)
-    report = prediction_report(data.labels.astype(float), data.labels, data.ids)
-    proxy = train_error_proxy(data, report, ForestConfig(n_trees=10, seed=1))
+    proxy = train_error_proxy(data, data.labels, ForestConfig(n_trees=10, seed=1))
     probs = proxy.predict_proba(data.values)
     assert np.all(probs == 0.0)
 
 
 def test_error_proxy_flags_planted_error_region():
-    data, report = _planted_error_setup()
-    proxy = train_error_proxy(data, report, ForestConfig(n_trees=20, seed=3))
+    data, preds = _planted_error_setup()
+    proxy = train_error_proxy(data, preds, ForestConfig(n_trees=20, seed=3))
     probs = proxy.predict_proba(data.values)
     assert np.all(probs[:30] >= 0.5)  # the region the base gets wrong
     assert np.all(probs[30:] == 0.0)  # clean region: every tree agrees
 
 
 def test_error_proxy_constant_forest_kills_easy_set():
-    data, report = _planted_error_setup()
-    proxy = train_error_proxy(data, report, ForestConfig(n_trees=1, max_depth=0, seed=0))
+    data, preds = _planted_error_setup()
+    proxy = train_error_proxy(data, preds, ForestConfig(n_trees=1, max_depth=0, seed=0))
     probs = proxy.predict_proba(data.values)
     assert len(np.unique(probs)) == 1
     assert probs[0] > 0.0
 
 
-def test_error_proxy_requires_report_coverage():
-    data, report = _planted_error_setup()
-    shifted = FeatureMatrix(values=data.values, labels=data.labels, ids=data.ids + 1000)
-    with pytest.raises(ValueError):
-        train_error_proxy(shifted, report)
+def test_error_proxy_requires_one_prediction_per_row():
+    data, preds = _planted_error_setup()
+    with pytest.raises(ValueError, match="^train_error_proxy: 59 predictions for 60 rows$"):
+        train_error_proxy(data, preds[:-1])
 
 
 # -------------------------------------------------------------- adapters
@@ -160,8 +157,8 @@ def test_svm_adapter_pools_all_populations():
 
 
 def test_knn_adapter_signs_the_proxy_probability_by_the_1nn_label():
-    data, report = _planted_error_setup()
-    proxy = train_error_proxy(data, report, ForestConfig(n_trees=20, seed=3))
+    data, preds = _planted_error_setup()
+    proxy = train_error_proxy(data, preds, ForestConfig(n_trees=20, seed=3))
     # both 1-NN labels in each cluster; each row is its own nearest neighbour
     labeled = FeatureMatrix(values=data.values, labels=np.arange(60) % 2, ids=data.ids)
     adapter = KnnAdapter(NearestNeighborModel.fit(labeled), proxy)

@@ -121,19 +121,30 @@ def test_prediction_report_factory_and_confusion():
     labels = np.array([1, 1, 0, 0])
     rep = prediction_report(probs, labels, np.arange(4))
     assert np.array_equal(rep.predictions, [1, 0, 1, 0])
-    assert confusion_partition(rep, labels).tolist() == ["TP", "FN", "FP", "TN"]
-    with pytest.raises(ValueError):
-        confusion_partition(rep, labels[:3])
+    assert confusion_partition(probs, labels).tolist() == ["TP", "FN", "FP", "TN"]
+    with pytest.raises(ValueError, match="4 probabilities for 3 labels"):
+        confusion_partition(probs, labels[:3])
     with pytest.raises(ValueError, match="equal length"):
         prediction_report(probs, labels[:3], np.arange(4))
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         prediction_report(probs + 0.2, labels, np.arange(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1, np.inf])
+def test_a_probability_outside_0_1_fails_both_rules(bad):
+    """A NaN fails every comparison, so a range test written as two
+    out-of-range comparisons lets it through."""
+    probs, labels = np.array([bad, 0.7]), np.array([1, 1])
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        prediction_report(probs, labels, np.arange(2))
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        confusion_partition(probs, labels)
+
+
 def test_boundary_probability_is_positive_prediction():
     rep = prediction_report(np.array([0.5]), np.array([0]), np.array([7]))
     assert rep.predictions[0] == 1
-    assert confusion_partition(rep, np.array([0]))[0] == "FP"
+    assert confusion_partition(rep.probabilities, np.array([0]))[0] == "FP"
 
 
 def test_threshold_pair_bounds():
@@ -167,7 +178,7 @@ def test_confusion_partition_partitions_ids(rows):
     probs = np.array([r[0] for r in rows])
     labels = np.array([r[1] for r in rows])
     rep = prediction_report(probs, labels, np.arange(len(rows)))
-    tags = confusion_partition(rep, labels)
+    tags = confusion_partition(probs, labels)
     # every row gets exactly one tag
     assert tags.shape == (len(rows),)
     assert set(tags.tolist()) <= set(CONFUSION_TAGS)

@@ -238,7 +238,7 @@ def test_prepare_calibrates_every_kind_on_its_one_scoring_pass(kind, monkeypatch
     assert calls == [prep.train.n_samples, prep.val.n_samples, prep.test.n_samples]
     for split, report in prep.reports.items():
         assert np.array_equal(prep.routing[split], report.probabilities)
-    tags = confusion_partition(prep.reports["validation"], prep.val.labels)
+    tags = confusion_partition(prep.routing["validation"], prep.val.labels)
     budget = tolerated_counts(cfg.tolerance, int((tags == "FP").sum()), int((tags == "FN").sum()))
     assert prep.tolerated == budget
     assert prep.thresholds == select_thresholds(
@@ -270,15 +270,15 @@ def test_raw_width_survives_feature_selection(tmp_path):
     assert (summary["n_samples"], summary["n_features"]) == (200, 3)
 
 
-def test_guided_pair_tags_come_from_the_routing_reports(monkeypatch):
+def test_guided_pair_tags_come_from_the_routing_probabilities(monkeypatch):
     cfg = _small_cfg()
     prep = prepare(cfg)
     seen = []
     guided_fit = experiment.guided_fit
 
-    def record(train, report, val, retrain, val_report, seed):
-        seen.append((train, report, val, val_report))
-        return guided_fit(train, report, val, retrain, val_report=val_report, seed=seed)
+    def record(train, probs, val, val_probs, retrain, seed):
+        seen.append((train, probs, val, val_probs))
+        return guided_fit(train, probs, val, val_probs, retrain, seed=seed)
 
     def refuse(*args):
         raise AssertionError("the base scored the difficult rows a second time")
@@ -287,14 +287,13 @@ def test_guided_pair_tags_come_from_the_routing_reports(monkeypatch):
     monkeypatch.setattr(experiment, "_report_for", refuse)
     monkeypatch.setattr(experiment, "prepare", lambda cfg: prep)
     run_experiment(cfg, variants=("guided",))
-    (train, report, val, val_report), = seen
+    (train, probs, val, val_probs), = seen
     assert train.n_samples and val.n_samples  # fixture sanity: both splits reach the fit
-    for split, data, got in (("train", train, report), ("validation", val, val_report)):
+    for split, part, data, got in (("train", prep.train, train, probs),
+                                   ("validation", prep.val, val, val_probs)):
         hard = ~prep.thresholds.easy(prep.routing[split])
-        want = prep.reports[split]
-        assert np.array_equal(got.ids, data.ids)
-        assert np.array_equal(got.probabilities, want.probabilities[hard])
-        assert np.array_equal(got.predictions, want.predictions[hard])
+        assert np.array_equal(data.ids, part.ids[hard])
+        assert np.array_equal(got, prep.routing[split][hard])
 
 
 # ------------------------------------------------------------ CLI

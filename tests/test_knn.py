@@ -28,7 +28,7 @@ def test_self_prediction_has_zero_errors():
     model = NearestNeighborModel.fit(data)
     rep = prediction_report(model.predict_proba(data.values), data.labels, data.ids)
     assert np.array_equal(rep.predictions, data.labels)
-    assert set(confusion_partition(rep, data.labels).tolist()) <= {"TP", "TN"}
+    assert set(confusion_partition(rep.probabilities, data.labels).tolist()) <= {"TP", "TN"}
 
 
 def test_equidistant_tie_prefers_lowest_id():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import EMPTY_REPORT, empty_like, json_at, json_edited, json_paths, make_blobs
+from conftest import NO_PROBABILITIES, empty_like, json_at, json_edited, json_paths, make_blobs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,7 @@ from guidedboost.classifiers.adapters import (
 from guidedboost.classifiers.forest import ForestConfig, ForestModel, train_random_forest
 from guidedboost.classifiers.knn import NearestNeighborModel
 from guidedboost.classifiers.linear import train_linear_svm, train_logistic
-from guidedboost.data import FeatureMatrix, ThresholdPair, prediction_report
+from guidedboost.data import FeatureMatrix, ThresholdPair
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.persistence import FORMAT_TAG, load, save
@@ -47,11 +47,11 @@ CFG = RetrainConfig(
 )
 
 
-def _data_and_report(seed=0):
+def _data_and_probabilities(seed=0):
     rng = np.random.default_rng(seed)
     data = make_blobs(n_per_class=20, n_features=3, gap=1.0, scale=1.5, seed=seed)
     probs = np.clip(0.5 + 0.3 * (data.labels - 0.5) + rng.normal(0, 0.25, 40), 0.01, 0.99)
-    return data, prediction_report(probs, data.labels, data.ids)
+    return data, probs
 
 
 def _adapter(kind, data):
@@ -64,8 +64,8 @@ def _adapter(kind, data):
     return KnnAdapter.fit(NearestNeighborModel.fit(data), data, ForestConfig(n_trees=5, seed=2))
 
 
-def _guided_pipeline(kind, data, report, feature_selection=None, n_raw=None):
-    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=3)
+def _guided_pipeline(kind, data, probs, feature_selection=None, n_raw=None):
+    stage = guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=3)
     return Pipeline(
         base=_adapter(kind, data),
         thresholds=ThresholdPair(0.35, 0.65) if kind != "knn" else ThresholdPair(0.0, 1.0),
@@ -78,8 +78,8 @@ def _guided_pipeline(kind, data, report, feature_selection=None, n_raw=None):
 
 @pytest.mark.parametrize("kind", ["logistic", "svm", "forest", "knn"])
 def test_guided_round_trip_per_base(kind, tmp_path):
-    data, report = _data_and_report()
-    pipe = _guided_pipeline(kind, data, report)
+    data, probs = _data_and_probabilities()
+    pipe = _guided_pipeline(kind, data, probs)
     path = tmp_path / f"{kind}.zip"
     save(pipe, path)
     back = load(path)
@@ -95,14 +95,14 @@ def test_guided_round_trip_per_base(kind, tmp_path):
 
 
 def test_round_trip_preserves_feature_selection(tmp_path):
-    data, report = _data_and_report(seed=1)
+    data, probs = _data_and_probabilities(seed=1)
     wide = FeatureMatrix(
         values=np.hstack([np.zeros((data.n_samples, 1)), data.values]),
         labels=data.labels,
         ids=data.ids,
     )
     pipe = _guided_pipeline(
-        "logistic", data, report,
+        "logistic", data, probs,
         feature_selection=np.array([1, 2, 3]), n_raw=wide.n_features,
     )
     path = tmp_path / "fs.zip"
@@ -116,8 +116,8 @@ def test_round_trip_preserves_feature_selection(tmp_path):
 
 def test_round_trip_with_skipped_models(tmp_path):
     data = make_blobs(n_per_class=12, n_features=3, seed=5)
-    report = prediction_report(np.full(data.n_samples, 0.8), data.labels, data.ids)
-    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
+    probs = np.full(data.n_samples, 0.8)
+    stage = guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=0)
     assert any(m is None for m in stage.models_1_to_4)
     pipe = Pipeline(
         base=_adapter("logistic", data),
@@ -137,7 +137,7 @@ def test_round_trip_with_skipped_models(tmp_path):
 
 
 def test_classic_round_trip(tmp_path):
-    data, _ = _data_and_report(seed=2)
+    data, _ = _data_and_probabilities(seed=2)
     stage = classic_fit(data, empty_like(data), CFG, seed=4)
     pipe = Pipeline(
         base=_adapter("svm", data),
@@ -156,16 +156,16 @@ def test_classic_round_trip(tmp_path):
 
 
 def test_save_stores_members_uncompressed(tmp_path):
-    data, report = _data_and_report(seed=3)
+    data, probs = _data_and_probabilities(seed=3)
     path = tmp_path / "pipe.zip"
-    save(_guided_pipeline("logistic", data, report), path)
+    save(_guided_pipeline("logistic", data, probs), path)
     with zipfile.ZipFile(path) as zf:
         assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
 
 
 def test_deflated_archive_still_loads(tmp_path):
-    data, report = _data_and_report(seed=3)
-    pipe = _guided_pipeline("logistic", data, report)
+    data, probs = _data_and_probabilities(seed=3)
+    pipe = _guided_pipeline("logistic", data, probs)
     path = tmp_path / "pipe.zip"
     save(pipe, path)
     deflated = tmp_path / "deflated.zip"
@@ -183,8 +183,8 @@ def test_deflated_archive_still_loads(tmp_path):
 
 
 def test_saving_twice_gives_the_same_bytes(tmp_path, monkeypatch):
-    data, report = _data_and_report(seed=3)
-    pipe = _guided_pipeline("logistic", data, report)
+    data, probs = _data_and_probabilities(seed=3)
+    pipe = _guided_pipeline("logistic", data, probs)
     saved = []
     for now in (1_000_000_000.0, 1_700_000_000.0):  # 2001 and 2023
         monkeypatch.setattr(time, "time", lambda now=now: now)
@@ -200,8 +200,8 @@ def test_save_and_load_hold_one_blob_at_a_time(tmp_path):
     each blob from its array's memory, and a load reads each blob in chunks
     into the array it returns. (An earlier save held every blob's bytes at
     once, 2 x the largest here; an earlier load read each blob whole.)"""
-    data, report = _data_and_report(seed=3)
-    pipe = _guided_pipeline("knn", data, report)
+    data, probs = _data_and_probabilities(seed=3)
+    pipe = _guided_pipeline("knn", data, probs)
     n = 400_000
     rng = np.random.default_rng(0)
     pipe.base.model = NearestNeighborModel(
@@ -242,11 +242,11 @@ def test_save_and_load_hold_one_blob_at_a_time(tmp_path):
 # (ForestConfig(n_trees=3, max_depth=3, seed=1), thresholds (0.3, 0.7)) and a
 # 1-NN base over make_blobs(6, 3, gap=1.0, scale=1.5, seed=6) whose error
 # proxy was fitted on the data (ForestConfig(n_trees=3, max_depth=3, seed=2),
-# thresholds (0, 1)); each through guided_fit with its own base's report,
+# thresholds (0, 1)); each through guided_fit with its own base's probabilities,
 # CFG and seed 0. svm_fs has an svm base and a feature selection blob: on
 # make_blobs(12, 5, gap=1.0, scale=1.5, seed=5), features [3, 0, 4] kept,
 # an svm base fitted on them, thresholds (0.3, 0.7), through guided_fit with
-# its own report, CFG and seed 0. Labels and routes ("a" for the auxiliary
+# its own probabilities, CFG and seed 0. Labels and routes ("a" for the auxiliary
 # head, "b" for the base) are those the writing release predicted on the
 # same data.
 ARCHIVES = Path(__file__).parent / "data"
@@ -464,6 +464,7 @@ _FOREST_RULES = {
                                  lambda f: _replaced(f["right"], _split(f), len(f["left"]))),
     "feature-negative": ("feature", lambda f: _replaced(f["feature"], _split(f), -1)),
     "feature-too-wide": ("feature", lambda f: _replaced(f["feature"], _split(f), 3)),
+    "p1-not-finite": ("p1", lambda f: _replaced(f["p1"], _leaf(f), np.nan)),
 }
 
 
@@ -483,6 +484,35 @@ def test_load_refuses_a_forest_off_its_layout_naming_the_blob(kind, prefix, rule
         pipeline_predict(load(io.BytesIO(raw)), _rows(kind))
 
 
+# rule -> (fixture, the blob it breaks, that blob broken); the fixtures'
+# bases read 3 features, svm_fs's the 3 it selects
+_BASE_RULES = {
+    "weights-one-short": ("svm_fs", "base_weights", lambda a: a[:-1]),
+    "weights-two-dimensional": ("guided", "base_weights", lambda a: a.reshape(1, -1)),
+    "weights-nan": ("classic", "base_weights", lambda a: _replaced(a, 0, np.nan)),
+    "knn-values-too-narrow": ("knn", "knn_values", lambda a: a[:, :-1]),
+    "knn-labels-one-short": ("knn", "knn_labels", lambda a: a[:-1]),
+    "knn-ids-one-long": ("knn", "knn_ids", lambda a: np.append(a, 99)),
+    "network-inf": ("guided", "model5_a0", lambda a: _replaced(a, (0,) * a.ndim, np.inf)),
+    "head-nan": ("forest", "aux_a1", lambda a: _replaced(a, (0,) * a.ndim, np.nan)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_BASE_RULES))
+def test_load_refuses_a_blob_that_does_not_fit_its_base_naming_it(rule):
+    """A blob of the wrong shape for the width its base reads, or a float
+    blob with a value that is not finite, fails at load, not at prediction
+    or in the routes."""
+    kind, name, broken = _BASE_RULES[rule]
+
+    def edit(arrays):
+        arrays[name] = broken(arrays[name])
+
+    raw = _with_blobs(kind, edit)
+    with pytest.raises(ValueError, match=f"blob {name} is corrupt"):
+        load(io.BytesIO(raw))
+
+
 @pytest.mark.parametrize("value", [99, 5, -1])
 def test_load_refuses_a_feature_selection_entry_out_of_range(value):
     def edit(arrays):
@@ -496,8 +526,8 @@ def test_load_refuses_a_feature_selection_entry_out_of_range(value):
 # ------------------------------------------------------------ corruption
 
 def _saved(tmp_path, kind="logistic"):
-    data, report = _data_and_report(seed=3)
-    pipe = _guided_pipeline(kind, data, report)
+    data, probs = _data_and_probabilities(seed=3)
+    pipe = _guided_pipeline(kind, data, probs)
     path = tmp_path / "pipe.zip"
     save(pipe, path)
     return path

@@ -5,16 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import EMPTY_REPORT, empty_like, make_blobs, stray_arrays
+from conftest import NO_PROBABILITIES, empty_like, make_blobs, stray_arrays
 
 from guidedboost.classifiers.linear import train_logistic
 from guidedboost.classifiers.adapters import IdentityAdapter
-from guidedboost.data import (
-    FeatureMatrix,
-    ThresholdPair,
-    confusion_partition,
-    prediction_report,
-)
+from guidedboost.data import FeatureMatrix, ThresholdPair, confusion_partition
 from guidedboost.nn.layers import BatchNorm
 from guidedboost.nn.network import (
     MLP,
@@ -48,14 +43,13 @@ CFG = RetrainConfig(
 
 
 def _difficult_setup(seed=0, n=40):
-    """Dataset plus a base report populating all four confusion cells."""
+    """Dataset plus base probabilities populating all four confusion cells."""
     rng = np.random.default_rng(seed)
     data = make_blobs(n_per_class=n // 2, n_features=3, gap=1.0, scale=1.5, seed=seed)
     # synthetic base probabilities correlated with the label but noisy, so
     # TP/FP/TN/FN all occur
     probs = np.clip(0.5 + 0.3 * (data.labels - 0.5) + rng.normal(0, 0.25, n), 0.01, 0.99)
-    report = prediction_report(probs, data.labels, data.ids)
-    return data, report
+    return data, probs
 
 
 def test_model_pairs_fixed_order():
@@ -63,11 +57,11 @@ def test_model_pairs_fixed_order():
 
 
 def test_guided_fit_trains_all_pairs_when_cells_populated():
-    data, report = _difficult_setup()
-    tags = confusion_partition(report, data.labels)
+    data, probs = _difficult_setup()
+    tags = confusion_partition(probs, data.labels)
     # fixture sanity: every pairing can train
     assert set(tags.tolist()) == {"TP", "FP", "TN", "FN"}
-    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=1)
+    stage = guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=1)
     assert all(m is not None for m in stage.models_1_to_4)
     assert stage.model.input_width == 4 * CFG.encoder.out_width
     assert stage.auxiliary.input_width == CFG.encoder.out_width
@@ -76,9 +70,9 @@ def test_guided_fit_trains_all_pairs_when_cells_populated():
 def test_guided_fit_skips_pairs_with_empty_cells(caplog):
     data = make_blobs(n_per_class=10, n_features=3, seed=2)
     # base predicts positive everywhere: only TP and FP cells are populated
-    report = prediction_report(np.full(data.n_samples, 0.8), data.labels, data.ids)
+    probs = np.full(data.n_samples, 0.8)
     with caplog.at_level(logging.WARNING, logger="guidedboost.pipeline"):
-        stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
+        stage = guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=0)
     assert stage.models_1_to_4[0] is not None  # TP+FP trains
     assert stage.models_1_to_4[1] is None  # TN+FN both empty
     assert stage.models_1_to_4[2] is None  # TN empty
@@ -94,16 +88,28 @@ def test_guided_fit_skips_pairs_with_empty_cells(caplog):
 
 
 def test_guided_fit_validation_errors():
-    data, report = _difficult_setup()
+    data, probs = _difficult_setup()
     with pytest.raises(ValueError):
-        guided_fit(empty_like(data), report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
+        guided_fit(empty_like(data), probs, empty_like(data), NO_PROBABILITIES, CFG, seed=0)
     single = FeatureMatrix(values=data.values, labels=np.zeros(data.n_samples, dtype=np.int64), ids=data.ids)
-    rep_single = prediction_report(np.full(data.n_samples, 0.8), single.labels, single.ids)
     with pytest.raises(ValueError):
-        guided_fit(single, rep_single, empty_like(data), CFG, EMPTY_REPORT, seed=0)
-    shifted = FeatureMatrix(values=data.values, labels=data.labels, ids=data.ids + 500)
-    with pytest.raises(ValueError):
-        guided_fit(shifted, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
+        guided_fit(single, np.full(data.n_samples, 0.8), empty_like(data), NO_PROBABILITIES,
+                   CFG, seed=0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda p: p[:-1], "39 probabilities for 40 labels"),
+    (lambda p: np.where(np.arange(len(p)) == 3, np.nan, p), r"probabilities must lie in \[0, 1\]"),
+], ids=["wrong-length", "nan"])
+@pytest.mark.parametrize("key", ["probabilities", "val_probabilities"],
+                         ids=["train", "validation"])
+def test_guided_fit_refuses_probabilities_that_do_not_fit_the_rows(bad, message, key):
+    """One probability in [0, 1] per row, which a NaN is not; the error names
+    guided_fit."""
+    data, probs = _difficult_setup()
+    args = {"probabilities": probs, "val_probabilities": probs, key: bad(probs)}
+    with pytest.raises(ValueError, match=f"^guided_fit: {message}$"):
+        guided_fit(data, difficult_val=data, cfg=CFG, seed=0, **args)
 
 
 @pytest.mark.parametrize("labels, problem", [
@@ -116,17 +122,17 @@ def test_one_rule_decides_whether_the_second_stage_trains(labels, problem):
     assert pipeline.difficult_set_problem(train) == problem
     if problem is None:
         return
-    report = prediction_report(np.full(len(labels), 0.6), train.labels, train.ids)
+    probs = np.full(len(labels), 0.6)
     with pytest.raises(ValueError, match=f"^guided_fit: {problem}$"):
-        guided_fit(train, report, empty_like(train), CFG, EMPTY_REPORT, seed=0)
+        guided_fit(train, probs, empty_like(train), NO_PROBABILITIES, CFG, seed=0)
     with pytest.raises(ValueError, match=f"^classic_fit: {problem}$"):
         classic_fit(train, empty_like(train), CFG, seed=0)
 
 
 def test_guided_fit_deterministic():
-    data, report = _difficult_setup(seed=3)
-    s1 = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=5)
-    s2 = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=5)
+    data, probs = _difficult_setup(seed=3)
+    s1 = guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=5)
+    s2 = guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=5)
     e1 = s1.model.embed(concat_embeddings(s1.models_1_to_4, data.values, CFG.encoder.out_width))
     e2 = s2.model.embed(concat_embeddings(s2.models_1_to_4, data.values, CFG.encoder.out_width))
     assert np.array_equal(e1, e2)
@@ -147,21 +153,21 @@ def test_classic_fit_shapes_and_determinism():
 
 
 def test_non_finite_training_names_the_model_and_epoch():
-    data, report = _difficult_setup()
+    data, probs = _difficult_setup()
     # finite features whose first-layer sums overflow to NaN
     huge = FeatureMatrix(
         values=data.values / np.abs(data.values).max() * 1e308, labels=data.labels, ids=data.ids
     )
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match=r"^guided_fit: model 1: .* at epoch 1$"):
-            guided_fit(huge, report, empty_like(data), CFG, EMPTY_REPORT, seed=0)
+            guided_fit(huge, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=0)
         with pytest.raises(FloatingPointError, match=r"^classic_fit: classic model: .* epoch 1$"):
             classic_fit(huge, empty_like(data), CFG, seed=0)
 
 
 def _fitted_guided_pipeline(seed=0):
-    data, report = _difficult_setup(seed=seed)
-    stage = guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=seed)
+    data, probs = _difficult_setup(seed=seed)
+    stage = guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=seed)
     base = IdentityAdapter(train_logistic(data))
     return data, Pipeline(
         base=base,
@@ -447,12 +453,9 @@ def _fake_training(monkeypatch, stage, on_call=lambda tag, outputs: None):
 
 def _fit(guided, train, val):
     if guided:
-        report, val_report = (
-            prediction_report(np.random.default_rng(seed).uniform(0.01, 0.99, part.n_samples),
-                              part.labels, part.ids)
-            for seed, part in ((2, train), (3, val))
-        )
-        return guided_fit(train, report, val, RetrainConfig(), val_report, seed=0)
+        probs, val_probs = (np.random.default_rng(seed).uniform(0.01, 0.99, part.n_samples)
+                            for seed, part in ((2, train), (3, val)))
+        return guided_fit(train, probs, val, val_probs, RetrainConfig(), seed=0)
     return classic_fit(train, val, RetrainConfig(), seed=0)
 
 
@@ -540,8 +543,8 @@ def _trained_head():
 
 
 def _guided_stage():
-    data, report = _difficult_setup(seed=4)
-    return _stage_layers(guided_fit(data, report, empty_like(data), CFG, EMPTY_REPORT, seed=1))
+    data, probs = _difficult_setup(seed=4)
+    return _stage_layers(guided_fit(data, probs, empty_like(data), NO_PROBABILITIES, CFG, seed=1))
 
 
 def _classic_stage():

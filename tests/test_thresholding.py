@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guidedboost.data import ThresholdPair, confusion_partition, prediction_report
+from guidedboost.data import ThresholdPair, confusion_partition
 from guidedboost.thresholding import (
     CurvePoint,
     ToleranceConfig,
@@ -62,7 +62,7 @@ def random_instance(rng, n_max=200):
     else:
         probs = rng.uniform(0.001, 0.999, size=n)
     labels = rng.integers(0, 2, size=n)
-    confusion = confusion_partition(prediction_report(probs, labels, np.arange(n)), labels)
+    confusion = confusion_partition(probs, labels)
     tol = tolerated_counts(
         ToleranceConfig(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
         int(np.sum(confusion == "FP")), int(np.sum(confusion == "FN")),
@@ -230,8 +230,7 @@ def test_split_is_always_a_partition(probs, th_n, th_p):
 def _curve_fixture():
     probs = np.array([0.1, 0.3, 0.6, 0.8, 0.55])
     labels = np.array([1, 0, 0, 0, 1])  # FNs at 0.1; FPs at 0.6 and 0.8
-    rep = prediction_report(probs, labels, np.arange(5))
-    return probs, confusion_partition(rep, labels)
+    return probs, confusion_partition(probs, labels)
 
 
 def test_curve_hand_counts():
@@ -260,8 +259,7 @@ def test_curve_monotone(seed):
     n = int(rng.integers(1, 120))
     probs = rng.uniform(0.001, 0.999, size=n)
     labels = rng.integers(0, 2, size=n)
-    rep = prediction_report(probs, labels, np.arange(n))
-    confusion = confusion_partition(rep, labels)
+    confusion = confusion_partition(probs, labels)
     pts = accumulated_error_curve(probs, confusion, np.linspace(0, 1, 101))
     fn_counts = [p.count for p in pts if p.side == "fn"]
     fp_counts = [p.count for p in pts if p.side == "fp"]
