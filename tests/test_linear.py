@@ -1,9 +1,14 @@
 """Linear base classifiers: logistic regression and the hinge-loss SVM."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import make_blobs
 
+from guidedboost.classifiers import linear
 from guidedboost.classifiers.linear import (
+    BLOCK_ROWS,
     LinearConfig,
     LinearModel,
     SvmConfig,
@@ -11,6 +16,10 @@ from guidedboost.classifiers.linear import (
     train_logistic,
 )
 from guidedboost.data import FeatureMatrix
+from guidedboost.harness.config import ExperimentConfig
+from guidedboost.harness.experiment import StageError, prepare
+from guidedboost.harness.io import write_dense_csv
+from guidedboost.parallel import run_all
 
 
 def best_linear_accuracy_2d(values, labels, n_angles=720):
@@ -133,10 +142,102 @@ def _reference_svm(data, cfg):
 def test_svm_matches_reference_loop_bit_for_bit(epochs):
     # overlapping blobs keep a changing share of rows inside the margin;
     # epoch 1 starts from w = 0, where every row violates
-    for seed, (n, d) in enumerate([(2, 1), (60, 3), (700, 12), (3001, 7)]):
+    # the last set is exactly one block, the largest fit that runs unthreaded
+    for seed, (n, d) in enumerate([(2, 1), (60, 3), (700, 12), (3001, 7), (BLOCK_ROWS // 2, 4)]):
         data = make_blobs(n_per_class=n, n_features=d, gap=1.0, scale=1.5, seed=seed)
         cfg = SvmConfig(learning_rate=0.3, epochs=epochs, regularization=1e-3)
         model = train_linear_svm(data, cfg)
         w, b = _reference_svm(data, cfg)
         assert np.array_equal(model.weights, w)
         assert model.bias == b
+
+
+def _shuffled_blobs(n_rows, seed):
+    """Overlapping blobs with the classes interleaved, cut to n_rows rows."""
+    data = make_blobs(n_per_class=(n_rows + 1) // 2, n_features=5, gap=1.0, scale=1.5, seed=seed)
+    order = np.random.default_rng(seed).permutation(data.n_samples)[:n_rows]
+    return FeatureMatrix.from_arrays(data.values[order], data.labels[order])
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """A function that sets the svm's rows per block and the usable CPU count."""
+    def set_blocks(rows, cpus):
+        monkeypatch.setattr(linear, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(linear, "_usable_cpus", lambda: cpus)
+    return set_blocks
+
+
+@pytest.mark.parametrize("n_rows", [65, 321, 448])
+def test_svm_blocks_give_the_same_bits_on_any_cpu_count(blocks, n_rows):
+    # 321 = 5 blocks of 64 and a 1-row tail; 448 is 7 full blocks, which 2 and
+    # 4 threads split unevenly
+    data = _shuffled_blobs(n_rows, seed=n_rows)
+    cfg = SvmConfig(learning_rate=0.3, epochs=40, regularization=1e-3)
+    fits = []
+    # a short switch interval interleaves the threads often: a buffer that
+    # two threads shared would change the bits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 4):
+            blocks(64, cpus)
+            fits.append(train_linear_svm(data, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    for fit in fits[1:]:
+        assert np.array_equal(fit.weights, fits[0].weights)
+        assert fit.bias == fits[0].bias
+    w, b = _reference_svm(data, cfg)
+    assert np.max(np.abs(fits[0].weights - w)) <= 1e-12 * np.max(np.abs(w))
+    assert fits[0].bias == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_rows, pools", [(64, []), (65, [2]), (321, [2])])
+def test_svm_pools_threads_only_for_more_than_one_block(blocks, monkeypatch, n_rows, pools):
+    made = []
+
+    class RecordedPool(linear.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    blocks(64, 2)
+    monkeypatch.setattr(linear, "ThreadPoolExecutor", RecordedPool)
+    before = threading.active_count()
+    train_linear_svm(_shuffled_blobs(n_rows, seed=1), SvmConfig(epochs=3))
+    assert made == pools
+    # every pool thread is joined, so a fork right after copies no live worker
+    assert threading.active_count() == before
+    assert run_all([lambda: 1, lambda: 2]) == [1, 2]
+
+
+def _overflowing_blobs():
+    """200 rows, class 0 first, whose second column lies in [1e307, 2e307]:
+    finite values whose first gradient sums overflow."""
+    data = make_blobs(n_per_class=100, seed=7)
+    values = data.values.copy()
+    values[:, 1] = np.random.default_rng(7).uniform(1e307, 2e307, size=200)
+    return FeatureMatrix.from_arrays(values, data.labels)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rows, cpus", [(BLOCK_ROWS, 2), (64, 1), (64, 2)])
+@pytest.mark.parametrize("train", [train_logistic, train_linear_svm])
+def test_non_finite_training_fails_naming_the_trainer_and_epoch(blocks, train, rows, cpus):
+    blocks(rows, cpus)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError,
+                       match=f"^{train.__name__}: weights are not finite at epoch 1$"):
+        train(_overflowing_blobs())
+    assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("base", ["logistic", "svm"])
+def test_prepare_tags_non_finite_training_train_base(tmp_path, base):
+    path = tmp_path / "data.csv"
+    write_dense_csv(_overflowing_blobs(), path)
+    with pytest.raises(StageError, match="^stage train-base: train_") as err:
+        prepare(ExperimentConfig(data_path=str(path), base=base))
+    assert isinstance(err.value.original, FloatingPointError)
