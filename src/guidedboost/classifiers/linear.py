@@ -6,27 +6,26 @@ adapter before thresholding.
 
 An svm epoch is one map over fixed blocks of ``BLOCK_ROWS`` training rows.
 Each block sums the subgradient of its violating rows, and the sums add in
-block order. The blocks run on threads, at most one per usable CPU (numpy
-releases the GIL in the products, comparisons and takes), so the fit's bits
-depend on ``BLOCK_ROWS`` and not on the CPU count. A training set of at most
-``BLOCK_ROWS`` rows is one block, run in the calling thread: its bits equal
-the full-batch loop's, the previous release's. Above that, a row's margin can
-differ in its last bits, because a matrix-vector product's bits depend on
-where the row sits in the matrix. Both trainers raise FloatingPointError,
-naming the trainer and the epoch, once the weights stop being finite.
+block order. The blocks run on threads, at most one per usable CPU
+(``parallel.thread_map``; numpy releases the GIL in the products,
+comparisons and takes), so the fit's bits depend on ``BLOCK_ROWS`` and not
+on the CPU count. A training set of at most ``BLOCK_ROWS`` rows is one block,
+run in the calling thread: its bits equal the full-batch loop's, the previous
+release's. Above that, a row's margin can differ in its last bits, because a
+matrix-vector product's bits depend on where the row sits in the matrix. Both
+trainers raise FloatingPointError, naming the trainer and the epoch, once the
+weights stop being finite.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import FeatureMatrix
 from ..nn.layers import sigmoid
-from ..parallel import _usable_cpus
+from ..parallel import thread_map
 
 # rows per block of an svm epoch. On a 320k x 12 training set on 2 vCPU,
 # 8192 and 16384 fitted in the same wall time and 32768 and 65536 were
@@ -165,18 +164,6 @@ def _hinge_sums(X: np.ndarray, y: np.ndarray, starts: range):
     return sums
 
 
-@contextmanager
-def _thread_map(n_threads: int):
-    """``map`` over a pool of ``n_threads`` threads, or the builtin one for a
-    single thread. The pool's threads are joined on exit, so none outlives the
-    fit: ``parallel.run_all`` forks only the calling thread."""
-    if n_threads == 1:
-        yield map
-        return
-    with ThreadPoolExecutor(n_threads) as pool:
-        yield pool.map
-
-
 def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> LinearModel:
     """Fit a linear SVM by subgradient descent on the L2-regularised hinge loss.
 
@@ -190,13 +177,12 @@ def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> Linea
     y = np.where(data.labels == 1, 1.0, -1.0)
     n = X.shape[0]
     starts = range(0, n, BLOCK_ROWS)
-    n_threads = min(len(starts), _usable_cpus())
-    stripes = [_hinge_sums(X, y, starts[t::n_threads]) for t in range(n_threads)]
     w = np.zeros(X.shape[1])
     b = 0.0
-    with _thread_map(n_threads) as map_threads:
+    with thread_map(len(starts)) as (n_threads, map_threads):
+        stripes = [_hinge_sums(X, y, starts[t::n_threads]) for t in range(n_threads)]
         for epoch in range(1, cfg.epochs + 1):
-            by_thread = list(map_threads(lambda sums: sums(w, b), stripes))
+            by_thread = map_threads(lambda sums: sums(w, b), stripes)
             blocks = [by_thread[i % n_threads][i // n_threads] for i in range(len(starts))]
             sum_w, sum_y = blocks[0]
             for block_w, block_y in blocks[1:]:

@@ -6,6 +6,10 @@ its result is pickled back. A job that draws its random numbers only from its
 own seeds gives the bits of the serial loop. A fork copies only the calling
 thread, so no other thread may hold a lock that a job needs. Each worker runs
 BLAS at the parent's thread count, so set that to 1 before numpy loads.
+
+``thread_map`` splits work in this process over threads instead, at most one
+per usable CPU: numpy releases the GIL in its array work. Its pool is joined
+before it returns, so ``run_all`` never forks beside a live thread.
 """
 from __future__ import annotations
 
@@ -14,6 +18,8 @@ import pickle
 import signal
 import sys
 import traceback
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 
 def _usable_cpus() -> int:
@@ -21,6 +27,30 @@ def _usable_cpus() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def thread_map(n_shares: int):
+    """Yield ``(T, map_threads)`` for work that splits into ``n_shares`` shares.
+
+    T is ``min(n_shares, usable CPUs)``. ``map_threads(fn, shares)`` returns
+    ``[fn(share) for share in shares]``: share 0 runs in the calling thread,
+    which would otherwise wait idle, and the rest on a pool of T - 1 threads.
+    The error of the lowest failing share is raised. With T < 2 there is no
+    pool; otherwise it is joined on exit.
+    """
+    n_threads = min(n_shares, _usable_cpus())
+    if n_threads < 2:
+        yield n_threads, lambda fn, shares: [fn(share) for share in shares]
+        return
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+
+        def map_threads(fn, shares):
+            rest = [pool.submit(fn, share) for share in shares[1:]]
+            first = fn(shares[0])
+            return [first, *(future.result() for future in rest)]
+
+        yield n_threads, map_threads
 
 
 def _flush_std_streams() -> None:

@@ -12,7 +12,9 @@ embeddings that Model 5 and the head train on) and in prediction, runs over
 fixed blocks of ``PREDICT_BLOCK_ROWS`` rows into one preallocated output. So
 the memory it needs beyond that output is bounded at any input size, and the
 bits are those of one whole-batch pass. In prediction a row's label does not
-depend on the batch it came in.
+depend on the batch it came in. The blocks run on one thread per usable CPU
+(``parallel.thread_map``); each block is computed on its own, so only the
+thread that runs it depends on the CPU count, never its bits.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .nn.network import (
     projection_spec,
 )
 from .nn.training import TrainConfig, train_auxiliary, train_model
-from .parallel import run_all
+from .parallel import run_all, thread_map
 
 log = logging.getLogger(__name__)
 
@@ -81,9 +83,26 @@ def _embed(model: EncoderProjectionModel, X: np.ndarray) -> np.ndarray:
 
 
 def _in_blocks(fn, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[rows] = fn(X[rows])`` over the ``_row_blocks`` of X; returns out."""
-    for rows in _row_blocks(X.shape[0]):
-        out[rows] = fn(X[rows])
+    """Fill ``out[rows] = fn(X[rows])`` over the ``_row_blocks`` of X; returns out.
+
+    Thread t of T fills blocks t, t + T, ... and stops at its first failure.
+    The failure of the lowest block, the one the serial loop would meet
+    first, is raised once every thread is done.
+    """
+    blocks = _row_blocks(X.shape[0])
+    with thread_map(len(blocks)) as (n_threads, map_threads):
+
+        def fill(t: int):
+            for i in range(t, len(blocks), n_threads):
+                try:
+                    out[blocks[i]] = fn(X[blocks[i]])
+                except Exception as exc:
+                    return i, exc
+            return None
+
+        failures = [f for f in map_threads(fill, range(n_threads)) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return out
 
 

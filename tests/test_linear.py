@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import make_blobs
 
+from guidedboost import parallel
 from guidedboost.classifiers import linear
 from guidedboost.classifiers.linear import (
     BLOCK_ROWS,
@@ -164,7 +165,7 @@ def blocks(monkeypatch):
     """A function that sets the svm's rows per block and the usable CPU count."""
     def set_blocks(rows, cpus):
         monkeypatch.setattr(linear, "BLOCK_ROWS", rows)
-        monkeypatch.setattr(linear, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     return set_blocks
 
 
@@ -193,17 +194,18 @@ def test_svm_blocks_give_the_same_bits_on_any_cpu_count(blocks, n_rows):
     assert fits[0].bias == pytest.approx(b, rel=1e-12)
 
 
-@pytest.mark.parametrize("n_rows, pools", [(64, []), (65, [2]), (321, [2])])
+@pytest.mark.parametrize("n_rows, pools", [(64, []), (65, [1]), (321, [1])])
 def test_svm_pools_threads_only_for_more_than_one_block(blocks, monkeypatch, n_rows, pools):
+    # on 2 CPUs the calling thread sums one share and a 1-thread pool the other
     made = []
 
-    class RecordedPool(linear.ThreadPoolExecutor):
+    class RecordedPool(parallel.ThreadPoolExecutor):
         def __init__(self, max_workers):
             made.append(max_workers)
             super().__init__(max_workers)
 
     blocks(64, 2)
-    monkeypatch.setattr(linear, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordedPool)
     before = threading.active_count()
     train_linear_svm(_shuffled_blobs(n_rows, seed=1), SvmConfig(epochs=3))
     assert made == pools

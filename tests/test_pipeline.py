@@ -1,5 +1,7 @@
 """Retraining stages and end-to-end routing."""
 import logging
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -419,6 +421,117 @@ def test_all_easy_batch_does_not_call_the_stage(monkeypatch):
     assert set(routes.tolist()) == {"base"}
     base_pred = (pipe.base.predict_probabilities(data.values) >= 0.5).astype(np.int64)
     assert np.array_equal(labels, base_pred)
+
+
+# ------------------------------------------------ blocks on threads
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """A function that sets the rows per block and the usable CPU count."""
+    def set_blocks(rows, cpus):
+        monkeypatch.setattr(pipeline, "PREDICT_BLOCK_ROWS", rows)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+    return set_blocks
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the thread pools made while a test runs."""
+    made = []
+
+    class RecordedPool(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordedPool)
+    return made
+
+
+@pytest.mark.parametrize("guided", [True, False], ids=["guided", "classic"])
+@pytest.mark.parametrize("n", [65, 322, 448])
+def test_blocks_give_the_same_bits_on_any_cpu_count(blocks, guided, n):
+    # with 64-row blocks: 65 rows are one block with its 1-row tail, 322 are
+    # five blocks and a 2-row tail, and 448 are seven full blocks, which 2
+    # and 4 threads split unevenly
+    stage = _untrained_stage(guided)
+    X = np.random.default_rng(n).normal(size=(n, 12))
+
+    def outputs():
+        inputs = (
+            concat_embeddings(stage.models_1_to_4, X, stage.model.input_width // 4)
+            if guided else X
+        )
+        return stage.predict(X), inputs, pipeline._embed(stage.model, inputs)
+
+    got = []
+    # a short switch interval interleaves the threads often: a buffer that
+    # two threads shared would change the bits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 4):
+            blocks(64, cpus)
+            got.append(outputs())
+    finally:
+        sys.setswitchinterval(interval)
+    for other in got[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(other, got[0]))
+    assert np.array_equal(got[0][0], head_labels(stage.auxiliary, stage.embed(X)))
+
+
+@pytest.mark.parametrize("guided", [True, False], ids=["guided", "classic"])
+@pytest.mark.parametrize("n, cpus, made", [
+    (64, 2, []), (65, 2, []), (130, 2, [1]), (130, 1, []), (448, 4, [3]),
+])
+def test_stage_predict_pools_threads_only_for_more_than_one_block(
+        blocks, pools, guided, n, cpus, made):
+    # the concatenation inside a threaded block sees one block: no pool of its own
+    blocks(64, cpus)
+    stage = _untrained_stage(guided)
+    before = threading.active_count()
+    stage.predict(np.random.default_rng(n).normal(size=(n, 12)))
+    assert pools == made
+    # every pool thread is joined, so a fork right after copies no live worker
+    assert threading.active_count() == before
+    assert parallel.run_all([lambda: 1, lambda: 2]) == [1, 2]
+
+
+def test_no_rows_start_no_pool(blocks, pools):
+    blocks(64, 4)
+    stage = _untrained_stage(guided=True)
+    X = np.empty((0, 12))
+    assert stage.predict(X).shape == (0,)
+    emb = concat_embeddings(stage.models_1_to_4, X, stage.model.input_width // 4)
+    assert emb.shape == (0, stage.model.input_width)
+    assert pipeline._embed(stage.model, emb).shape == (0, stage.model.embedding_width)
+    assert pools == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_failing_block_raises_from_the_caller_and_leaves_no_thread(blocks, cpus):
+    blocks(64, cpus)
+    stage = _untrained_stage(guided=True)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^Linear: input width 11 does not match"):
+        stage.predict(np.zeros((448, 11)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_the_serial_loops_first_failure_is_raised(blocks, cpus):
+    blocks(64, cpus)
+    X = np.arange(448.0)[:, None]
+
+    def fn(block):
+        # blocks 1, 2 and 3 fail; 2 and 3 fail on other threads than 1
+        start = int(block[0, 0])
+        if start in (64, 128, 192):
+            raise ValueError(f"block at row {start}")
+        return block
+
+    with pytest.raises(ValueError, match="^block at row 64$"):
+        pipeline._in_blocks(fn, X, np.empty_like(X))
 
 
 # ------------------------------------------------ block-wise training embeddings
