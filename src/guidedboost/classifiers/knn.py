@@ -1,9 +1,9 @@
 """Single-neighbour classifier.
 
 Prediction is the label of the closest training sample under Euclidean
-distance; exact distance ties go to the lowest training id. Probabilities are
-therefore hard 0/1 votes, which is why its adapter takes the probability it
-calibrates on from an error-proxy forest.
+distance; exact distance ties go to the lowest training id. The model gives
+labels only, hard 0/1 votes, which is why its adapter takes the probability
+it calibrates on from an error-proxy forest.
 """
 from __future__ import annotations
 
@@ -72,8 +72,3 @@ class NearestNeighborModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.labels[self.neighbor_positions(X)]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Degenerate probabilities: 1.0 where the neighbour is positive."""
-        return self.predict(X).astype(np.float64)
-

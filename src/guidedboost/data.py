@@ -131,14 +131,16 @@ def prediction_report(probabilities, labels, ids) -> PredictionReport:
     ids = np.asarray(ids, dtype=np.int64)
     if not (len(probabilities) == len(labels) == len(ids)):
         raise ValueError("probabilities, labels and ids must have equal length")
-    _check_probabilities(probabilities)
+    check_probabilities(probabilities)
     return PredictionReport(ids=_frozen(ids), probabilities=_frozen(probabilities))
 
 
-def _check_probabilities(probabilities: np.ndarray):
+def check_probabilities(probabilities: np.ndarray, where: str = "") -> None:
+    """Raise ValueError, its message led by ``where``, unless every
+    probability lies in [0, 1]."""
     # a NaN carries through min and max and fails both comparisons
     if probabilities.size and not (0.0 <= probabilities.min() and probabilities.max() <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+        raise ValueError(f"{where}probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def confusion_partition(probabilities, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if probabilities.shape != labels.shape:
         raise ValueError(f"{probabilities.size} probabilities for {labels.size} labels")
-    _check_probabilities(probabilities)
+    check_probabilities(probabilities)
     preds = (probabilities >= 0.5).astype(np.int64)
     # CONFUSION_TAGS order: predicted positive then negative, right then wrong
     return _frozen(np.array(CONFUSION_TAGS)[2 * (1 - preds) + (preds != labels)])

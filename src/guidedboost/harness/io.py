@@ -6,6 +6,7 @@ to the shared FeatureMatrix type. Parse failures name the offending line.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,12 @@ def load_dense_csv(path: str | Path) -> FeatureMatrix:
                     path, line_no, f"expected {width + 1} columns, found {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row[:-1]])
+                values = [float(v) for v in row[:-1]]
             except ValueError:
                 raise _parse_error(path, line_no, "non-numeric feature value") from None
+            if not all(map(math.isfinite, values)):
+                raise _parse_error(path, line_no, "non-finite feature value")
+            rows.append(values)
             labels.append(_parse_label(row[-1], path, line_no))
     if not rows:
         raise _parse_error(path, 2, "no data rows")
@@ -80,6 +84,8 @@ def load_sparse(path: str | Path, n_features: int | None = None) -> FeatureMatri
                     val = float(val_s)
                 except ValueError:
                     raise _parse_error(path, line_no, f"malformed entry {tok!r}") from None
+                if not math.isfinite(val):
+                    raise _parse_error(path, line_no, "non-finite feature value")
                 if idx < 0:
                     raise _parse_error(path, line_no, f"negative feature index {idx}")
                 if idx <= prev:

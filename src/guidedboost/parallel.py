@@ -1,11 +1,13 @@
 """Independent jobs run side by side in forked worker processes.
 
-``run_all(jobs)`` returns ``[job() for job in jobs]``. The workers are made
-with ``os.fork``, so a job reads the parent's arrays without a copy and only
-its result is pickled back. A job that draws its random numbers only from its
-own seeds gives the bits of the serial loop. A fork copies only the calling
-thread, so no other thread may hold a lock that a job needs. Each worker runs
-BLAS at the parent's thread count, so set that to 1 before numpy loads.
+``run_all(jobs)`` returns ``[job() for job in jobs]``. The workers are
+``multiprocessing`` processes of the fork context, whatever the platform's
+default start method, so a job reads the parent's arrays without a copy and
+only its result is pickled back, through a ``Pipe``. A job that draws its
+random numbers only from its own seeds gives the bits of the serial loop. A
+fork copies only the calling thread, so no other thread may hold a lock that
+a job needs. Each worker runs BLAS at the parent's thread count, so set that
+to 1 before numpy loads.
 
 ``thread_map`` splits work in this process over threads instead, at most one
 per usable CPU: numpy releases the GIL in its array work. Its pool is joined
@@ -13,10 +15,9 @@ before it returns, so ``run_all`` never forks beside a live thread.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
-import signal
-import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -53,13 +54,6 @@ def thread_map(n_shares: int):
         yield n_threads, map_threads
 
 
-def _flush_std_streams() -> None:
-    """Write out buffered output: a worker would repeat what the parent
-    buffered, and ``os._exit`` drops what the worker buffered."""
-    for stream in (sys.stdout, sys.stderr):
-        stream.flush()
-
-
 def run_all(jobs: list) -> list:
     """``[job() for job in jobs]``, in at most one forked worker per usable CPU.
 
@@ -72,33 +66,32 @@ def run_all(jobs: list) -> list:
     n = min(len(jobs), _usable_cpus())
     if n < 2:
         return [job() for job in jobs]
-    _flush_std_streams()
-    pids, reads, outcomes = [], [], []
+    fork = multiprocessing.get_context("fork")
+    workers, reads, outcomes, codes = [], [], [], []
     try:
         for w in range(n):
-            read, write = os.pipe()
+            read, write = fork.Pipe(duplex=False)
             reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(jobs, range(w, len(jobs), n), write)
-                pids.append(pid)
-            finally:
-                os.close(write)
+            with write:  # closed once forked, so a dead worker ends its recv
+                worker = fork.Process(target=_work, args=(jobs, range(w, len(jobs), n), write))
+                worker.start()
+            workers.append(worker)
         for read in reads:
-            with open(read, "rb", closefd=False) as pipe:
-                try:
-                    outcomes.append(pickle.load(pipe))
-                except (EOFError, pickle.UnpicklingError):  # the worker died
-                    outcomes.append(None)
+            try:
+                outcomes.append(read.recv())
+            except (EOFError, OSError):  # the worker died before or while it reported
+                outcomes.append(None)
     except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        for worker in workers:
+            worker.kill()
         raise
     finally:
         for read in reads:
-            os.close(read)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            read.close()
+        for worker in workers:
+            worker.join()
+            codes.append(worker.exitcode)
+            worker.close()
     results, failures = [None] * len(jobs), []
     for w, (outcome, code) in enumerate(zip(outcomes, codes)):
         if code != 0 or outcome is None:
@@ -121,26 +114,17 @@ def run_all(jobs: list) -> list:
     return results
 
 
-def _work(jobs: list, indices: range, write: int) -> None:
-    """A worker's life: run its jobs, pickle what they gave down the pipe, exit."""
-    code = 1
-    try:
-        done, failure = [], None
-        for i in indices:
+def _work(jobs: list, indices: range, pipe) -> None:
+    """A worker's life: run its jobs and send what they gave down the pipe."""
+    done, failure = [], None
+    for i in indices:
+        try:
+            done.append(jobs[i]())
+        except Exception as exc:
             try:
-                done.append(jobs[i]())
-            except Exception as exc:
-                try:
-                    blob = pickle.dumps(exc)
-                except Exception:
-                    blob = None
-                failure = (i, blob, traceback.format_exc())
-                break
-        with open(write, "wb") as pipe:
-            pickle.dump((done, failure), pipe)
-        _flush_std_streams()  # os._exit does not
-        code = 0
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(code)
+                blob = pickle.dumps(exc)
+            except Exception:
+                blob = None
+            failure = (i, blob, traceback.format_exc())
+            break
+    pipe.send((done, failure))

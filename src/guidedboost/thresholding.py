@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SplitAssignment, ThresholdPair
+from .data import SplitAssignment, ThresholdPair, check_probabilities
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def select_thresholds(
     confusion = np.asarray(confusion)
     if p.shape != confusion.shape or p.ndim != 1:
         raise ValueError("select_thresholds: probs and tags must be matching 1-D arrays")
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("select_thresholds: probabilities outside [0, 1]")
+    check_probabilities(p, "select_thresholds: ")
     pos = p >= 0.5
     th_p = _extreme(p[pos], confusion[pos] == "FP", tolerated.tolerated_fps, +1)
     th_n = _extreme(p[~pos], confusion[~pos] == "FN", tolerated.tolerated_fns, -1)
@@ -147,6 +146,7 @@ def accumulated_error_curve(
     confusion = np.asarray(confusion)
     if p.shape != confusion.shape or p.ndim != 1:
         raise ValueError("accumulated_error_curve: probs and tags must be matching 1-D arrays")
+    check_probabilities(p, "accumulated_error_curve: ")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
         raise ValueError("accumulated_error_curve: grid values outside [0, 1]")

@@ -14,6 +14,7 @@ from guidedboost.data import (
     confusion_partition,
     prediction_report,
 )
+from guidedboost.thresholding import ToleratedCounts, accumulated_error_curve, select_thresholds
 
 
 def test_feature_matrix_basic():
@@ -139,6 +140,12 @@ def test_a_probability_outside_0_1_fails_both_rules(bad):
         prediction_report(probs, labels, np.arange(2))
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         confusion_partition(probs, labels)
+    tags = np.array(["FN", "TP"])
+    with pytest.raises(ValueError, match=r"^select_thresholds: probabilities must lie in \[0, 1\]$"):
+        select_thresholds(probs, tags, ToleratedCounts(0, 0))
+    with pytest.raises(ValueError,
+                       match=r"^accumulated_error_curve: probabilities must lie in \[0, 1\]$"):
+        accumulated_error_curve(probs, tags, np.array([0.5]))
 
 
 def test_boundary_probability_is_positive_prediction():

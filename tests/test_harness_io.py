@@ -35,6 +35,9 @@ def test_dense_skips_blank_lines(tmp_path):
         ("f0,label\n", 2, "no data rows"),
         ("f0,label\n1.0,0\n1.0,1,9\n", 3, "expected 2 columns, found 3"),
         ("f0,label\nabc,0\n", 2, "non-numeric feature value"),
+        ("f0,f1,label\n1.0,2.0,0\nnan,1.0,1\n", 3, "non-finite feature value"),
+        ("f0,f1,label\n1.0,inf,1\n", 2, "non-finite feature value"),
+        ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,1\n-inf,0.0,1\n", 4, "non-finite feature value"),
         ("f0,label\n1.0,2\n", 2, "label must be 0 or 1"),
         ("f0,label\n1.0,yes\n", 2, "not a number"),
         ("label\n", 1, "at least one feature"),
@@ -90,6 +93,9 @@ def test_sparse_all_zero_rows_get_width_one(tmp_path):
         ("0 0:a\n", 1, "malformed entry"),
         ("0 nocolon\n", 1, "malformed entry"),
         ("0 -1:2.0\n", 1, "negative feature index"),
+        ("1 1:inf\n", 1, "non-finite feature value"),
+        ("0 0:1.0\n1 0:nan\n", 2, "non-finite feature value"),
+        ("0 0:1.0 2:-inf\n", 1, "non-finite feature value"),
         ("0 3:1.0 1:2.0\n", 1, "strictly ascending"),
         ("0 2:1.0 2:2.0\n", 1, "strictly ascending"),
         ("0 0:1.0\n7 0:1.0\n", 2, "label must be 0 or 1"),

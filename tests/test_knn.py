@@ -18,7 +18,7 @@ def brute_force_neighbor(train_values, train_ids, x):
 def test_training_point_query_returns_own_label():
     data = make_blobs(n_per_class=10, seed=0)
     model = NearestNeighborModel.fit(data)
-    probs = model.predict_proba(data.values)
+    probs = model.predict(data.values).astype(float)
     assert np.array_equal(probs, data.labels.astype(float))
     assert set(np.unique(probs)) <= {0.0, 1.0}
 
@@ -26,7 +26,7 @@ def test_training_point_query_returns_own_label():
 def test_self_prediction_has_zero_errors():
     data = make_blobs(n_per_class=30, gap=0.5, scale=2.0, seed=4)
     model = NearestNeighborModel.fit(data)
-    rep = prediction_report(model.predict_proba(data.values), data.labels, data.ids)
+    rep = prediction_report(model.predict(data.values).astype(float), data.labels, data.ids)
     assert np.array_equal(rep.predictions, data.labels)
     assert set(confusion_partition(rep.probabilities, data.labels).tolist()) <= {"TP", "TN"}
 
@@ -39,12 +39,12 @@ def test_equidistant_tie_prefers_lowest_id():
     )
     model = NearestNeighborModel.fit(data)
     assert model.ids[model.neighbor_positions(np.array([[1.0]]))][0] == 3
-    assert model.predict_proba(np.array([[1.0]]))[0] == 0.0  # id 3 is negative
+    assert model.predict(np.array([[1.0]]))[0] == 0.0  # id 3 is negative
 
 
 def test_nearest_negative_gives_probability_zero():
     data = FeatureMatrix.from_arrays([[0.0, 0.0], [5.0, 5.0]], [0, 1])
-    p = NearestNeighborModel.fit(data).predict_proba(np.array([[0.4, -0.2]]))
+    p = NearestNeighborModel.fit(data).predict(np.array([[0.4, -0.2]]))
     assert p[0] == 0.0
 
 

@@ -1,7 +1,12 @@
 """run_all: forked workers give the serial loop's results, failures and bits."""
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -9,6 +14,7 @@ import pytest
 from conftest import make_blobs
 
 from guidedboost import parallel, pipeline
+from guidedboost.classifiers import linear
 from guidedboost.classifiers.forest import ForestConfig, train_random_forest
 from guidedboost.harness.config import ExperimentConfig, SyntheticSpec
 from guidedboost.harness.experiment import StageError, metrics_to_csv, run_experiment
@@ -64,13 +70,16 @@ def test_jobs_run_in_workers_unless_there_is_one(monkeypatch):
 
 def test_output_is_written_once_and_what_jobs_print_is_kept():
     # stdout into a pipe is block-buffered: the parent's buffer must not be
-    # copied into the workers, nor a worker's buffer dropped at its exit
+    # copied into the workers, nor a worker's buffer dropped at its exit.
+    # Unbuffered, print writes a line and its newline apart, and the two
+    # workers' lines can interleave.
     script = ("from guidedboost import parallel\n"
               "parallel._usable_cpus = lambda: 2\n"
               "print('before')\n"
               "parallel.run_all([lambda: print('job a'), lambda: print('job b')])\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, timeout=60).stdout.splitlines()
+                         check=True, timeout=60, env=env).stdout.splitlines()
     assert out[0] == "before" and sorted(out[1:]) == ["job a", "job b"]
 
 
@@ -158,4 +167,115 @@ def test_a_non_finite_pair_model_fails_its_stage_as_in_serial(n_cpus, monkeypatc
         "train_model: monitored loss is nan at epoch 1"
     )
     assert isinstance(err.value.original, FloatingPointError)
+    _assert_no_children_left()
+
+
+def _kill_own_process():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_worker_killed_by_a_signal_reports_its_code(monkeypatch):
+    jobs = [lambda: 0, _kill_own_process]
+    with pytest.raises(RuntimeError) as err:
+        _with_cpus(monkeypatch, 2, lambda: run_all(jobs))
+    assert str(err.value) == "run_all: worker 1 exited with code -9 before it reported"
+    _assert_no_children_left()
+
+
+def _send_part_of_a_message_then_die():
+    # the parent reads worker 0 first, so this worker blocks once the pipe
+    # is full and is killed with its 10 MB result partly sent
+    threading.Timer(0.5, _kill_own_process).start()
+    return bytes(10_000_000)
+
+
+def test_a_worker_that_dies_part_way_through_its_message_reports_its_code(monkeypatch):
+    jobs = [partial(time.sleep, 1), _send_part_of_a_message_then_die]
+    with pytest.raises(RuntimeError) as err:
+        _with_cpus(monkeypatch, 2, lambda: run_all(jobs))
+    assert str(err.value) == "run_all: worker 1 exited with code -9 before it reported"
+    _assert_no_children_left()
+
+
+def test_a_failed_start_kills_and_reaps_the_workers_already_started(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("no second fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    start = time.monotonic()
+    with pytest.raises(OSError, match="no second fork"):
+        _with_cpus(monkeypatch, 2, lambda: run_all([partial(time.sleep, 30)] * 2))
+    assert time.monotonic() - start < 10  # the first worker was killed, not waited for
+    _assert_no_children_left()
+
+
+def _raise_keyboard_interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+@contextmanager
+def _interrupt_after(seconds):
+    """Raise KeyboardInterrupt in this thread after ``seconds``, as Ctrl-C would."""
+    previous = signal.signal(signal.SIGALRM, _raise_keyboard_interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_workers(monkeypatch):
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt), _interrupt_after(0.5):
+        _with_cpus(monkeypatch, 2, lambda: run_all([partial(time.sleep, 30)] * 2))
+    assert time.monotonic() - start < 5
+    _assert_no_children_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_descriptor_is_left_open(monkeypatch):
+    """Checked while the caught errors, and with them run_all's frames and
+    its Process objects, are still held (``failed``, ``interrupted``)."""
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+
+    def descriptors():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    assert run_all([partial(pow, 2, 3)] * 3) == [8] * 3
+    assert descriptors() == before
+    with pytest.raises(KeyError) as failed:
+        run_all([partial(_fail, KeyError("first")), lambda: 1])
+    assert descriptors() == before
+    with pytest.raises(KeyboardInterrupt) as interrupted, _interrupt_after(0.5):
+        run_all([partial(time.sleep, 30)] * 2)
+    assert descriptors() == before
+    _assert_no_children_left()
+
+
+def test_no_fork_runs_beside_a_live_thread(monkeypatch, tmp_path):
+    """Thread pools (svm epochs, network passes) are joined before any fork,
+    in the parent and in the workers that fork the pair Models."""
+    real_fork, log = os.fork, tmp_path / "forks"
+
+    def fork():
+        assert threading.active_count() == 1, "fork beside a live thread"
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(linear, "BLOCK_ROWS", 64)
+    monkeypatch.setattr(pipeline, "PREDICT_BLOCK_ROWS", 64)
+    assert threading.active_count() == 1
+    result = _with_cpus(monkeypatch, 2, lambda: run_experiment(replace(TINY, base="svm")))
+    assert any(m is not None for m in result.guided.stage.models_1_to_4)
+    forking = set(log.read_text().split())
+    assert str(os.getpid()) in forking and len(forking) > 1  # nested forks ran too
     _assert_no_children_left()
