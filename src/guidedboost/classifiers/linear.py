@@ -6,11 +6,10 @@ adapter before thresholding.
 
 An svm epoch is one map over fixed blocks of ``BLOCK_ROWS`` training rows.
 Each block sums the subgradient of its violating rows, and the sums add in
-block order. The blocks run on threads, at most one per usable CPU
-(``parallel.thread_map``; numpy releases the GIL in the products,
-comparisons and takes), so the fit's bits depend on ``BLOCK_ROWS`` and not
-on the CPU count. A training set of at most ``BLOCK_ROWS`` rows is one block,
-run in the calling thread: its bits equal the full-batch loop's, the previous
+block order. The blocks are dealt to threads by the rule of ``parallel``
+(``thread_map``), so the fit's bits depend on ``BLOCK_ROWS`` and not on the
+CPU count. A training set of at most ``BLOCK_ROWS`` rows is one block, run
+in the calling thread: its bits equal the full-batch loop's, the previous
 release's. Above that, a row's margin can differ in its last bits, because a
 matrix-vector product's bits depend on where the row sits in the matrix. Both
 trainers raise FloatingPointError, naming the trainer and the epoch, once the
@@ -34,10 +33,13 @@ BLOCK_ROWS = 16384
 
 
 def _check_schedule(cfg) -> None:
-    """The range rule of both linear trainers' settings."""
-    if cfg.epochs < 0 or not cfg.learning_rate > 0.0:
+    """The range rule of both linear trainers' settings; none may be NaN or
+    infinite."""
+    if cfg.epochs < 0 or not 0.0 < cfg.learning_rate < math.inf:
         raise ValueError(f"{type(cfg).__name__}: need epochs >= 0 and learning_rate > 0, "
                          f"got {cfg.epochs} and {cfg.learning_rate}")
+    if not all(map(math.isfinite, vars(cfg).values())):
+        raise ValueError(f"{type(cfg).__name__}: settings must be finite, got {cfg}")
 
 
 @dataclass
@@ -129,47 +131,30 @@ class SvmConfig:
     __post_init__ = _check_schedule
 
 
-def _hinge_sums(X: np.ndarray, y: np.ndarray, starts: range):
-    """The function of (w, b) that gives, for each block starting at one of
-    ``starts`` in turn, ``(Xv.T @ yv, yv.sum())`` over its rows v with
-    y * (x.w + b) < 1.
-
-    Its buffers are made here, in the calling thread, and filled in place, so
-    the thread that runs it allocates nothing of a block's size.
-    """
-    rows = min(BLOCK_ROWS, len(y))
-    margins, below = np.empty(rows), np.empty(rows, dtype=bool)
-    Xv_buf, yv_buf = np.empty((rows, X.shape[1])), np.empty(rows)
-    blocks = []
-    for start in starts:
-        yb = y[start:start + BLOCK_ROWS]
-        blocks.append((X[start:start + BLOCK_ROWS], yb, margins[:len(yb)], below[:len(yb)]))
-
-    def sums(w: np.ndarray, b: float) -> list:
-        out = []
-        for Xb, yb, m, mask in blocks:
-            # y * (X @ w + b), in place on the product
-            np.matmul(Xb, w, out=m)
-            m += b
-            m *= yb
-            # the violating rows, compacted by index: faster than a boolean mask
-            # and the same rows in the same order, so the sums keep their bits;
-            # mode="clip" takes straight into the buffer, "raise" through a copy
-            viol = np.flatnonzero(np.less(m, 1.0, out=mask))
-            Xv = Xb.take(viol, axis=0, out=Xv_buf[:len(viol)], mode="clip")
-            yv = yb.take(viol, out=yv_buf[:len(viol)], mode="clip")
-            out.append((Xv.T @ yv, float(yv.sum())))
-        return out
-
-    return sums
+def _hinge_sum(Xb: np.ndarray, yb: np.ndarray, w: np.ndarray, b: float, buffers: tuple):
+    """``(Xv.T @ yv, yv.sum())`` over the rows v of the block (Xb, yb) with
+    y * (x.w + b) < 1. It fills ``buffers`` (margins, mask, Xv, yv) in place,
+    so the thread that runs it allocates nothing of a block's size."""
+    margins, below, Xv_buf, yv_buf = buffers
+    # y * (X @ w + b), in place on the product
+    m = np.matmul(Xb, w, out=margins[:len(yb)])
+    m += b
+    m *= yb
+    # the violating rows, compacted by index: faster than a boolean mask
+    # and the same rows in the same order, so the sums keep their bits;
+    # mode="clip" takes straight into the buffer, "raise" through a copy
+    viol = np.flatnonzero(np.less(m, 1.0, out=below[:len(yb)]))
+    Xv = Xb.take(viol, axis=0, out=Xv_buf[:len(viol)], mode="clip")
+    yv = yb.take(viol, out=yv_buf[:len(viol)], mode="clip")
+    return Xv.T @ yv, float(yv.sum())
 
 
 def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> LinearModel:
     """Fit a linear SVM by subgradient descent on the L2-regularised hinge loss.
 
     Zero epochs leave the zero-initialised parameters untouched (all scores
-    equal the bias). Thread t of T sums blocks t, t + T, ... (module
-    docstring).
+    equal the bias). Block i is summed on thread ``i % T`` of ``thread_map``,
+    into that thread's buffers.
     """
     cfg = cfg or SvmConfig()
     _check_two_classes(data, "train_linear_svm")
@@ -179,11 +164,17 @@ def train_linear_svm(data: FeatureMatrix, cfg: SvmConfig | None = None) -> Linea
     starts = range(0, n, BLOCK_ROWS)
     w = np.zeros(X.shape[1])
     b = 0.0
-    with thread_map(len(starts)) as (n_threads, map_threads):
-        stripes = [_hinge_sums(X, y, starts[t::n_threads]) for t in range(n_threads)]
+    rows = min(BLOCK_ROWS, n)
+    with thread_map(len(starts)) as (n_threads, map_items):
+        buffers = [(np.empty(rows), np.empty(rows, dtype=bool), np.empty((rows, X.shape[1])),
+                    np.empty(rows)) for _ in range(n_threads)]
+
+        def block_sum(i: int):
+            block = slice(starts[i], starts[i] + BLOCK_ROWS)
+            return _hinge_sum(X[block], y[block], w, b, buffers[i % n_threads])
+
         for epoch in range(1, cfg.epochs + 1):
-            by_thread = map_threads(lambda sums: sums(w, b), stripes)
-            blocks = [by_thread[i % n_threads][i // n_threads] for i in range(len(starts))]
+            blocks = map_items(block_sum)
             sum_w, sum_y = blocks[0]
             for block_w, block_y in blocks[1:]:
                 sum_w += block_w

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -55,11 +56,11 @@ class SyntheticSpec:
             raise ValueError("SyntheticSpec: need at least 2 features")
         if self.planted and self.n_features < 3:
             raise ValueError("SyntheticSpec: planted structure needs at least 3 features")
-        if self.cov_scale < 0.0:
+        if not 0.0 <= self.cov_scale < math.inf:
             raise ValueError("SyntheticSpec: cov_scale must be non-negative")
         if not (0.0 <= self.band_fraction <= 1.0):
             raise ValueError("SyntheticSpec: band_fraction must lie in [0, 1]")
-        if self.mean_negative >= self.mean_positive:
+        if not -math.inf < self.mean_negative < self.mean_positive < math.inf:
             raise ValueError("SyntheticSpec: mean_negative must be below mean_positive")
 
 

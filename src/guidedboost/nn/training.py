@@ -39,7 +39,7 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.max_epochs, self.patience, self.batch_divisor) < 1:
             raise ValueError("TrainConfig: counts must be positive")
-        if self.learning_rate <= 0.0 or self.temperature <= 0.0:
+        if not (0.0 < self.learning_rate < np.inf and 0.0 < self.temperature < np.inf):
             raise ValueError("TrainConfig: learning_rate and temperature must be positive")
 
     def batch_size(self, n: int) -> int:

@@ -1,6 +1,10 @@
-"""Independent jobs run side by side in forked worker processes.
+"""Independent items run side by side, at most one executor per usable CPU.
 
-``run_all(jobs)`` returns ``[job() for job in jobs]``. The workers are
+Executor t of T runs items t, t + T, ... in order and stops at its first
+failure. The results come back in item order, or the error of the lowest
+failing item, the one the serial loop would meet first, is raised.
+
+``run_all(jobs)`` returns ``[job() for job in jobs]`` from forked workers:
 ``multiprocessing`` processes of the fork context, whatever the platform's
 default start method, so a job reads the parent's arrays without a copy and
 only its result is pickled back, through a ``Pipe``. A job that draws its
@@ -9,9 +13,9 @@ fork copies only the calling thread, so no other thread may hold a lock that
 a job needs. Each worker runs BLAS at the parent's thread count, so set that
 to 1 before numpy loads.
 
-``thread_map`` splits work in this process over threads instead, at most one
-per usable CPU: numpy releases the GIL in its array work. Its pool is joined
-before it returns, so ``run_all`` never forks beside a live thread.
+``thread_map`` runs items on threads of this process instead: numpy releases
+the GIL in its array work. Its pool is joined before it returns, so
+``run_all`` never forks beside a live thread.
 """
 from __future__ import annotations
 
@@ -30,38 +34,57 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@contextmanager
-def thread_map(n_shares: int):
-    """Yield ``(T, map_threads)`` for work that splits into ``n_shares`` shares.
+def _stripe(fn, items: range) -> tuple[list, tuple | None]:
+    """``[fn(i) for i in items]`` up to the first failure ``(i, exc)``, or None."""
+    done = []
+    for i in items:
+        try:
+            done.append(fn(i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
 
-    T is ``min(n_shares, usable CPUs)``. ``map_threads(fn, shares)`` returns
-    ``[fn(share) for share in shares]``: share 0 runs in the calling thread,
-    which would otherwise wait idle, and the rest on a pool of T - 1 threads.
-    The error of the lowest failing share is raised. With T < 2 there is no
-    pool; otherwise it is joined on exit.
+
+def _gather(n: int, stripes: list) -> list:
+    """The results of n items from each executor's ``_stripe``, in item
+    order; if any failed, the lowest failing item's error is raised."""
+    failures = [failure for _, failure in stripes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [stripes[i % len(stripes)][0][i // len(stripes)] for i in range(n)]
+
+
+@contextmanager
+def thread_map(n_items: int):
+    """Yield ``(T, map_items)``, T = ``min(n_items, usable CPUs)``.
+
+    ``map_items(fn)`` returns ``[fn(i) for i in range(n_items)]``, item i on
+    thread ``i % T``. Thread 0 is the calling thread, which would otherwise
+    wait idle, and the rest are a pool of T - 1 threads, joined on exit; with
+    T < 2 there is no pool.
     """
-    n_threads = min(n_shares, _usable_cpus())
+    n_threads = min(n_items, _usable_cpus())
     if n_threads < 2:
-        yield n_threads, lambda fn, shares: [fn(share) for share in shares]
+        yield n_threads, lambda fn: [fn(i) for i in range(n_items)]
         return
     with ThreadPoolExecutor(n_threads - 1) as pool:
 
-        def map_threads(fn, shares):
-            rest = [pool.submit(fn, share) for share in shares[1:]]
-            first = fn(shares[0])
-            return [first, *(future.result() for future in rest)]
+        def map_items(fn):
+            mine, *theirs = [range(t, n_items, n_threads) for t in range(n_threads)]
+            futures = [pool.submit(_stripe, fn, items) for items in theirs]
+            first = _stripe(fn, mine)
+            return _gather(n_items, [first, *(future.result() for future in futures)])
 
-        yield n_threads, map_threads
+        yield n_threads, map_items
 
 
 def run_all(jobs: list) -> list:
     """``[job() for job in jobs]``, in at most one forked worker per usable CPU.
 
-    Worker w of W runs jobs w, w + W, ... in order and stops at its first
-    failure. The failure with the lowest job index, the one the serial loop
-    would raise, is raised again with its type and message; a worker that
-    ends without reporting raises RuntimeError. Every worker is reaped before
-    this returns or raises. With one job or one usable CPU the jobs run here.
+    A job's error is raised again with its type and message; a worker that
+    ends without reporting fails at its first job, with a RuntimeError. Every
+    worker is reaped before this returns or raises. With one job or one
+    usable CPU the jobs run here.
     """
     n = min(len(jobs), _usable_cpus())
     if n < 2:
@@ -92,39 +115,29 @@ def run_all(jobs: list) -> list:
             worker.join()
             codes.append(worker.exitcode)
             worker.close()
-    results, failures = [None] * len(jobs), []
     for w, (outcome, code) in enumerate(zip(outcomes, codes)):
         if code != 0 or outcome is None:
-            failures.append((w, RuntimeError(
-                f"run_all: worker {w} exited with code {code} before it reported")))
-            continue
-        done, failure = outcome
-        for i, result in zip(range(w, len(jobs), n), done):
-            results[i] = result
-        if failure is not None:
-            i, blob, trace = failure
+            outcomes[w] = [], (w, RuntimeError(
+                f"run_all: worker {w} exited with code {code} before it reported"))
+        elif outcome[1] is not None:
+            i, blob, trace = outcome[1]
             try:
                 exc = pickle.loads(blob)
             except Exception:  # the job's error cannot travel as itself
                 exc = RuntimeError(f"run_all: job {i} failed in a worker:\n{trace}")
             exc.__cause__ = RuntimeError(f"the traceback in the worker:\n{trace}")
-            failures.append((i, exc))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return results
+            outcomes[w] = outcome[0], (i, exc)
+    return _gather(len(jobs), outcomes)
 
 
 def _work(jobs: list, indices: range, pipe) -> None:
     """A worker's life: run its jobs and send what they gave down the pipe."""
-    done, failure = [], None
-    for i in indices:
+    done, failure = _stripe(lambda i: jobs[i](), indices)
+    if failure is not None:
+        i, exc = failure
         try:
-            done.append(jobs[i]())
-        except Exception as exc:
-            try:
-                blob = pickle.dumps(exc)
-            except Exception:
-                blob = None
-            failure = (i, blob, traceback.format_exc())
-            break
+            blob = pickle.dumps(exc)
+        except Exception:
+            blob = None
+        failure = i, blob, "".join(traceback.format_exception(exc))
     pipe.send((done, failure))

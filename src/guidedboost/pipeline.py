@@ -12,9 +12,9 @@ embeddings that Model 5 and the head train on) and in prediction, runs over
 fixed blocks of ``PREDICT_BLOCK_ROWS`` rows into one preallocated output. So
 the memory it needs beyond that output is bounded at any input size, and the
 bits are those of one whole-batch pass. In prediction a row's label does not
-depend on the batch it came in. The blocks run on one thread per usable CPU
-(``parallel.thread_map``); each block is computed on its own, so only the
-thread that runs it depends on the CPU count, never its bits.
+depend on the batch it came in. The blocks are dealt to threads by the rule
+of ``parallel`` (``thread_map``); each block is computed on its own, so only
+the thread that runs it depends on the CPU count, never its bits.
 """
 from __future__ import annotations
 
@@ -64,16 +64,13 @@ class RetrainConfig:
 def concat_embeddings(
     models: tuple[EncoderProjectionModel | None, ...], X: np.ndarray, block_width: int
 ) -> np.ndarray:
-    """Fixed-order concatenation of the four embedding blocks.
-
-    A skipped model leaves its block of the configured width at zero, so the
-    concatenated layout never changes. Each model writes its columns of the
-    one output row block by row block (see ``_in_blocks``).
-    """
+    """Fixed-order concatenation of the four embedding blocks of the rows X,
+    one pass of each model. A skipped model leaves its block of the
+    configured width at zero, so the concatenated layout never changes."""
     out = np.zeros((X.shape[0], len(models) * block_width))
     for k, m in enumerate(models):
         if m is not None:
-            _in_blocks(m.embed, X, out[:, k * block_width : (k + 1) * block_width])
+            out[:, k * block_width : (k + 1) * block_width] = m.embed(X)
     return out
 
 
@@ -85,24 +82,15 @@ def _embed(model: EncoderProjectionModel, X: np.ndarray) -> np.ndarray:
 def _in_blocks(fn, X: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out[rows] = fn(X[rows])`` over the ``_row_blocks`` of X; returns out.
 
-    Thread t of T fills blocks t, t + T, ... and stops at its first failure.
-    The failure of the lowest block, the one the serial loop would meet
-    first, is raised once every thread is done.
+    The blocks are the items of one ``parallel.thread_map``.
     """
     blocks = _row_blocks(X.shape[0])
-    with thread_map(len(blocks)) as (n_threads, map_threads):
 
-        def fill(t: int):
-            for i in range(t, len(blocks), n_threads):
-                try:
-                    out[blocks[i]] = fn(X[blocks[i]])
-                except Exception as exc:
-                    return i, exc
-            return None
+    def fill(i: int) -> None:
+        out[blocks[i]] = fn(X[blocks[i]])
 
-        failures = [f for f in map_threads(fill, range(n_threads)) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    with thread_map(len(blocks)) as (_, map_items):
+        map_items(fill)
     return out
 
 
@@ -153,7 +141,7 @@ class Stage:
             raise ValueError("Stage: auxiliary width does not match model output")
 
     def embed(self, X: np.ndarray) -> np.ndarray:
-        """The embeddings the auxiliary head classifies."""
+        """The embeddings the auxiliary head classifies, in one pass over X."""
         if self.models_1_to_4:
             X = concat_embeddings(self.models_1_to_4, X, self.model.input_width // 4)
         return self.model.embed(X)
@@ -282,7 +270,9 @@ def guided_fit(
     models_t = tuple(trained.get(k) for k in range(1, len(MODEL_PAIRS) + 1))
 
     def concat(data: FeatureMatrix) -> FeatureMatrix:
-        values = concat_embeddings(models_t, data.values, cfg.encoder.out_width)
+        width = cfg.encoder.out_width
+        values = _in_blocks(partial(concat_embeddings, models_t, block_width=width),
+                            data.values, np.empty((data.n_samples, len(models_t) * width)))
         return FeatureMatrix(values=values, labels=data.labels, ids=data.ids)
 
     return _fit_stage(

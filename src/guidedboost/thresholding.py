@@ -148,7 +148,8 @@ def accumulated_error_curve(
         raise ValueError("accumulated_error_curve: probs and tags must be matching 1-D arrays")
     check_probabilities(p, "accumulated_error_curve: ")
     grid = np.asarray(grid, dtype=np.float64)
-    if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
+    # a NaN carries through min and max and fails both comparisons
+    if grid.size and not (0.0 <= grid.min() and grid.max() <= 1.0):
         raise ValueError("accumulated_error_curve: grid values outside [0, 1]")
     is_fp = confusion == "FP"
     is_fn = confusion == "FN"

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import math
 import re
 import sys
 import weakref
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidedboost.classifiers.adapters import IdentityAdapter, KnnAdapter, SvmAdapter
+from guidedboost.classifiers.linear import LinearConfig, SvmConfig
 from guidedboost.data import confusion_partition
 from guidedboost.harness import cli
 from guidedboost.harness.cli import main
@@ -205,6 +207,28 @@ def test_run_experiment_tags_failing_stage(tmp_path):
 def test_forest_counts_below_one_name_the_setting(base, setting, value):
     with pytest.raises(ValueError, match=f"base_params .* {setting} must be at least 1, got {value}"):
         _small_cfg(base=base, base_params={setting: value})
+
+
+_NON_FINITE_RULES = [
+    (TrainConfig, "learning_rate", "TrainConfig: learning_rate and temperature must be positive"),
+    (TrainConfig, "temperature", "TrainConfig: learning_rate and temperature must be positive"),
+    (LinearConfig, "learning_rate", "LinearConfig: need epochs >= 0 and learning_rate > 0, got"),
+    (LinearConfig, "l2", "LinearConfig: settings must be finite, got"),
+    (SvmConfig, "learning_rate", "SvmConfig: need epochs >= 0 and learning_rate > 0, got"),
+    (SvmConfig, "regularization", "SvmConfig: settings must be finite, got"),
+    (SyntheticSpec, "mean_negative", "SyntheticSpec: mean_negative must be below mean_positive"),
+    (SyntheticSpec, "mean_positive", "SyntheticSpec: mean_negative must be below mean_positive"),
+    (SyntheticSpec, "cov_scale", "SyntheticSpec: cov_scale must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, setting, rule", _NON_FINITE_RULES,
+                         ids=[f"{cls.__name__}.{setting}" for cls, setting, _ in _NON_FINITE_RULES])
+def test_settings_built_in_code_refuse_non_finite_values(cls, setting, rule, value):
+    # the config-file loader refuses these already; a dataclass built in code must too
+    with pytest.raises(ValueError, match=f"^{re.escape(rule)}"):
+        cls(**{setting: value})
 
 
 def test_unknown_base_params_fail_when_the_config_is_built():

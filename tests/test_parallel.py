@@ -1,4 +1,5 @@
-"""run_all: forked workers give the serial loop's results, failures and bits."""
+"""run_all and thread_map: forked workers and threads give the serial loop's
+results, failures and bits."""
 import os
 import signal
 import subprocess
@@ -279,3 +280,55 @@ def test_no_fork_runs_beside_a_live_thread(monkeypatch, tmp_path):
     forking = set(log.read_text().split())
     assert str(os.getpid()) in forking and len(forking) > 1  # nested forks ran too
     _assert_no_children_left()
+
+
+# ------------------------------------------------ thread_map
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_items", [0, 1, 5, 8])
+def test_thread_map_runs_item_i_on_thread_i_mod_t(n_items, cpus, monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+    before, caller, threads = threading.active_count(), threading.get_ident(), {}
+    with parallel.thread_map(n_items) as (n_threads, map_items):
+        assert n_threads == min(n_items, cpus)
+        # each thread's first item waits until all T run at once, so no
+        # thread can take two stripes one after the other
+        start = threading.Barrier(max(n_threads, 1), timeout=30)
+
+        def fn(i):
+            if i < n_threads:
+                start.wait()
+            threads[i] = threading.get_ident()
+            return i * i
+
+        assert map_items(fn) == [i * i for i in range(n_items)]
+    assert threading.active_count() == before
+    assert n_items == 0 or threads[0] == caller
+    for i in range(n_items):
+        for j in range(n_items):
+            assert (threads[i] == threads[j]) == (i % n_threads == j % n_threads), (i, j)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_items", [5, 8])
+def test_thread_map_raises_the_lowest_failing_items_error(n_items, cpus, monkeypatch):
+    # items 3 and 4 fail, on different threads from 2 CPUs up; item 3 fails last
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+    before, ran = threading.active_count(), set()
+
+    def fn(i):
+        ran.add(i)
+        if i == 3:
+            time.sleep(0.1)
+        if i in (3, 4):
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^item 3$"):
+        with parallel.thread_map(n_items) as (n_threads, map_items):
+            map_items(fn)
+    assert threading.active_count() == before
+    # each thread stops at its first failure
+    assert ran == {i for i in range(n_items)
+                   if not any(j < i and j % n_threads == i % n_threads for j in (3, 4))}

@@ -248,6 +248,9 @@ def test_curve_grid_validation():
     probs, confusion = _curve_fixture()
     with pytest.raises(ValueError):
         accumulated_error_curve(probs, confusion, np.array([-0.1]))
+    # a NaN passes a plain min/max range test
+    with pytest.raises(ValueError, match="^accumulated_error_curve: grid values outside"):
+        accumulated_error_curve([0.2, 0.7], ["FN", "TP"], [math.nan])
     with pytest.raises(ValueError):
         accumulated_error_curve(probs, confusion[:4], np.array([0.5]))
 
