@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,12 +35,17 @@ BLOCK_ROWS = 16384
 
 def _check_schedule(cfg) -> None:
     """The range rule of both linear trainers' settings; none may be NaN or
-    infinite."""
+    infinite, and the penalty weight (the setting named ``PENALTY``) may not
+    be negative: a negative one grows the weights every epoch."""
     if cfg.epochs < 0 or not 0.0 < cfg.learning_rate < math.inf:
         raise ValueError(f"{type(cfg).__name__}: need epochs >= 0 and learning_rate > 0, "
                          f"got {cfg.epochs} and {cfg.learning_rate}")
     if not all(map(math.isfinite, vars(cfg).values())):
         raise ValueError(f"{type(cfg).__name__}: settings must be finite, got {cfg}")
+    penalty = getattr(cfg, cfg.PENALTY)
+    if penalty < 0:
+        raise ValueError(f"{type(cfg).__name__}: {cfg.PENALTY} must be non-negative, "
+                         f"got {penalty}")
 
 
 @dataclass
@@ -48,6 +54,7 @@ class LinearConfig:
     epochs: int = 200
     l2: float = 1e-4
 
+    PENALTY: ClassVar[str] = "l2"
     __post_init__ = _check_schedule
 
 
@@ -128,6 +135,7 @@ class SvmConfig:
     epochs: int = 300
     regularization: float = 1e-4
 
+    PENALTY: ClassVar[str] = "regularization"
     __post_init__ = _check_schedule
 
 

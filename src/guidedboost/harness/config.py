@@ -129,6 +129,8 @@ def _dataclass(cls, node: Node):
     fields, each of the kind its annotation names; cls's range errors name
     node's key path."""
     kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
+    if hasattr(cls, "PENALTY"):  # a linear kind's penalty weight
+        kinds[cls.PENALTY] = "non-negative number"
     values = node.only(kinds).read(kinds)
     try:
         return cls(**values)

@@ -32,7 +32,15 @@ from ..data import (
 from ..metrics import EvaluationReport, delta_errors, errors_reduction, evaluate
 from ..parallel import run_all
 from ..persistence import save
-from ..pipeline import Pipeline, Stage, classic_fit, difficult_set_problem, guided_fit
+from ..pipeline import (
+    Pipeline,
+    Stage,
+    classic_fit,
+    difficult_set_problem,
+    guided_fit,
+    guided_pair_jobs,
+    pair_models,
+)
 from ..thresholding import (
     CurvePoint,
     ToleratedCounts,
@@ -234,16 +242,27 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def _fit_variant(name: str, prep: Prepared, cfg: ExperimentConfig) -> Stage:
-    """The retraining stage of variant name, fitted on the difficult rows."""
-    train, val = prep.difficult_train, prep.difficult_val
+def _guided_args(prep: Prepared, cfg: ExperimentConfig) -> tuple:
+    """guided_fit's positional arguments: the difficult rows, with the base
+    probabilities that routed them (not a second pass), and the settings."""
+    train_p, val_p = (prep.routing[split][~prep.thresholds.easy(prep.routing[split])]
+                      for split in ("train", "validation"))
+    return prep.difficult_train, train_p, prep.difficult_val, val_p, cfg.retrain
+
+
+def _fit_variant(name: str, prep: Prepared, cfg: ExperimentConfig,
+                 models_1_to_4: tuple) -> tuple:
+    """(Model, head) of variant name's retraining stage, fitted on the
+    difficult rows: only the networks trained here, so a worker sends back
+    no pair Model. The guided stage is given its trained pair Models."""
     with _stage(f"{name}-retrain"):
         if name == "classic":
-            return classic_fit(train, val, cfg.retrain, seed=cfg.seed)
-        # the base probabilities that routed the rows, not a second pass
-        train_p, val_p = (prep.routing[split][~prep.thresholds.easy(prep.routing[split])]
-                          for split in ("train", "validation"))
-        return guided_fit(train, train_p, val, val_p, cfg.retrain, seed=cfg.seed)
+            stage = classic_fit(prep.difficult_train, prep.difficult_val, cfg.retrain,
+                                seed=cfg.seed)
+        else:
+            stage = guided_fit(*_guided_args(prep, cfg), seed=cfg.seed,
+                               models_1_to_4=models_1_to_4)
+    return stage.model, stage.auxiliary
 
 
 def run_experiment(
@@ -252,8 +271,11 @@ def run_experiment(
     """Execute the full protocol; see the module docstring.
 
     variants picks which retraining stages to fit; the default runs all of
-    them so their reports can be compared. The stages fit side by side
-    (``run_all``).
+    them so their reports can be compared. The stages fit in two rounds of
+    ``run_all``, both started here, so no worker forks: first the guided
+    pair Models 1-4, then each variant's embedding Model with its head, in
+    ``VARIANTS`` order. In serial that order is the pairs, the classic
+    stage, then Model 5, and a failure raises the error it meets first.
     """
     unknown = set(variants) - set(VARIANTS)
     if unknown:
@@ -277,15 +299,21 @@ def run_experiment(
     skipped = difficult_set_problem(prep.difficult_train)
     if skipped is None:
         names = [name for name in VARIANTS if name in variants]
-        stages = run_all([partial(_fit_variant, name, prep, cfg) for name in names])
+        pairs = {"classic": ()}
+        if "guided" in names:
+            with _stage("guided-retrain"):
+                jobs = guided_pair_jobs(*_guided_args(prep, cfg), seed=cfg.seed)
+                pairs["guided"] = pair_models(jobs, run_all(list(jobs.values())))
+        trained = run_all([partial(_fit_variant, name, prep, cfg, pairs[name])
+                           for name in names])
         pipelines = {
             name: Pipeline(
-                prep.adapter, prep.thresholds, stage, prep.n_raw_features,
-                feature_selection=prep.kept,
+                prep.adapter, prep.thresholds, Stage(pairs[name], *networks),
+                prep.n_raw_features, feature_selection=prep.kept,
                 metadata={"seed": cfg.seed, "config": config_to_dict(cfg),
                           "package_version": __version__},
             )
-            for name, stage in zip(names, stages)
+            for name, networks in zip(names, trained)
         }
 
     summary: dict = {

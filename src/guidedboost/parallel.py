@@ -11,7 +11,9 @@ only its result is pickled back, through a ``Pipe``. A job that draws its
 random numbers only from its own seeds gives the bits of the serial loop. A
 fork copies only the calling thread, so no other thread may hold a lock that
 a job needs. Each worker runs BLAS at the parent's thread count, so set that
-to 1 before numpy loads.
+to 1 before numpy loads. No job calls ``run_all``: work that depends on
+other work runs in a later round, started by the caller, so the process
+tree is one level deep (``run_experiment`` fits its stages in two rounds).
 
 ``thread_map`` runs items on threads of this process instead: numpy releases
 the GIL in its array work. Its pool is joined before it returns, so

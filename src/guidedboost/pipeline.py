@@ -7,6 +7,11 @@ auxiliary head. A guided stage embeds through the four confusion-pair Models
 and Model 5 on their concatenated embeddings; a classic stage (the baseline)
 through a single Model.
 
+The pair Models are the jobs of ``guided_pair_jobs``. ``guided_fit`` runs
+them side by side (``parallel.run_all``), or takes them already trained
+(``models_1_to_4``) and trains only Model 5 and its head: that is how
+``run_experiment`` trains Model 5 beside the classic stage.
+
 Every eval-mode pass of the networks over a set of rows, in training (the
 embeddings that Model 5 and the head train on) and in prediction, runs over
 fixed blocks of ``PREDICT_BLOCK_ROWS`` rows into one preallocated output. So
@@ -215,6 +220,39 @@ def _fit_pair(k: int, train: FeatureMatrix, rows: np.ndarray, val: FeatureMatrix
                            seed=[seed, k])
 
 
+def guided_pair_jobs(difficult_train: FeatureMatrix, probabilities: np.ndarray,
+                     difficult_val: FeatureMatrix, val_probabilities: np.ndarray,
+                     cfg: RetrainConfig, *, seed: int) -> dict[int, partial]:
+    """``{k: job}``: the job that trains Model k, for each pairing of
+    ``MODEL_PAIRS`` that is not skipped. A pairing with an empty cell is
+    skipped, with a warning, and its embedding block stays zero. The
+    arguments are ``guided_fit``'s."""
+    _check_difficult(difficult_train, difficult_val, "guided_fit")
+    try:
+        tags = confusion_partition(probabilities, difficult_train.labels)
+        val_tags = confusion_partition(val_probabilities, difficult_val.labels)
+    except ValueError as exc:
+        raise ValueError(f"guided_fit: {exc}") from None
+    jobs = {}
+    for k, pair in enumerate(MODEL_PAIRS, start=1):
+        rows = np.flatnonzero(np.isin(tags, pair))
+        if len(np.unique(difficult_train.labels[rows])) < 2:
+            log.warning("guided_fit: model %d (%s+%s) skipped, confusion cell empty; "
+                        "its embedding block will be zeros", k, *pair)
+            continue
+        val_rows = np.flatnonzero(np.isin(val_tags, pair))
+        jobs[k] = partial(_fit_pair, k, difficult_train, rows, difficult_val, val_rows, cfg, seed)
+    return jobs
+
+
+def pair_models(jobs: dict[int, partial],
+                trained: list) -> tuple[EncoderProjectionModel | None, ...]:
+    """Models 1-4 from the results of ``guided_pair_jobs``' jobs, in job
+    order; None for a skipped pairing."""
+    done = dict(zip(jobs, trained))
+    return tuple(done.get(k) for k in range(1, len(MODEL_PAIRS) + 1))
+
+
 def guided_fit(
     difficult_train: FeatureMatrix,
     probabilities: np.ndarray,
@@ -223,15 +261,15 @@ def guided_fit(
     cfg: RetrainConfig,
     *,
     seed: int,
+    models_1_to_4: tuple[EncoderProjectionModel | None, ...] | None = None,
 ) -> Stage:
     """Train the guided stage on the difficult training subset.
 
     Models 1-4 are trained on the confusion-cell pairings TP'+FP', TN'+FN',
     TP'+TN' and FP'+FN' of the base's predictions, using true labels as
     contrastive classes; a pairing with an empty cell is skipped and its
-    embedding block zeroed. Models 1-4 train side by side (``run_all``).
-    Model 5 trains on the concatenated embeddings and the auxiliary head on
-    Model 5's embeddings.
+    embedding block zeroed. Model 5 trains on the concatenated embeddings
+    and the auxiliary head on Model 5's embeddings.
 
     Args:
         difficult_train: samples inside the calibrated threshold interval.
@@ -245,38 +283,24 @@ def guided_fit(
             than 2 rows.
         cfg: architecture + training regime.
         seed: master seed.
+        models_1_to_4: Models 1-4 already trained from these arguments by
+            the jobs of ``guided_pair_jobs`` (see ``pair_models``). When None,
+            they are trained here, side by side (``run_all``).
     """
     _check_difficult(difficult_train, difficult_val, "guided_fit")
-    try:
-        tags = confusion_partition(probabilities, difficult_train.labels)
-        val_tags = confusion_partition(val_probabilities, difficult_val.labels)
-    except ValueError as exc:
-        raise ValueError(f"guided_fit: {exc}") from None
-    jobs = {}
-    for k, pair in enumerate(MODEL_PAIRS, start=1):
-        rows = np.flatnonzero(np.isin(tags, pair))
-        if len(np.unique(difficult_train.labels[rows])) < 2:
-            log.warning(
-                "guided_fit: model %d (%s+%s) skipped, confusion cell empty; "
-                "its embedding block will be zeros",
-                k,
-                pair[0],
-                pair[1],
-            )
-            continue
-        val_rows = np.flatnonzero(np.isin(val_tags, pair))
-        jobs[k] = partial(_fit_pair, k, difficult_train, rows, difficult_val, val_rows, cfg, seed)
-    trained = dict(zip(jobs, run_all(list(jobs.values()))))
-    models_t = tuple(trained.get(k) for k in range(1, len(MODEL_PAIRS) + 1))
+    if models_1_to_4 is None:
+        jobs = guided_pair_jobs(difficult_train, probabilities, difficult_val,
+                                val_probabilities, cfg, seed=seed)
+        models_1_to_4 = pair_models(jobs, run_all(list(jobs.values())))
 
     def concat(data: FeatureMatrix) -> FeatureMatrix:
         width = cfg.encoder.out_width
-        values = _in_blocks(partial(concat_embeddings, models_t, block_width=width),
-                            data.values, np.empty((data.n_samples, len(models_t) * width)))
+        values = _in_blocks(partial(concat_embeddings, models_1_to_4, block_width=width),
+                            data.values, np.empty((data.n_samples, len(models_1_to_4) * width)))
         return FeatureMatrix(values=values, labels=data.labels, ids=data.ids)
 
     return _fit_stage(
-        models_t, concat(difficult_train), concat(difficult_val), cfg, seed,
+        models_1_to_4, concat(difficult_train), concat(difficult_val), cfg, seed,
         "guided_fit", "model 5",
     )
 

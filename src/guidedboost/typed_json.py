@@ -10,6 +10,9 @@ import math
 # also reads NaN and Infinity, which no stored number may be.
 KINDS = {
     "number": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    "non-negative number": (
+        lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a non-negative finite number"
+    ),
     "count": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     "positive": (lambda v: type(v) is int and v > 0, "a positive integer"),
     "flag": (lambda v: type(v) is bool, "true or false"),

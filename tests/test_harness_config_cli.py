@@ -36,7 +36,7 @@ from guidedboost.harness.experiment import VARIANTS, StageError, prepare, run_ex
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.persistence import load
-from guidedboost.pipeline import RetrainConfig
+from guidedboost.pipeline import MODEL_PAIRS, RetrainConfig
 from guidedboost.thresholding import ToleranceConfig, select_thresholds, tolerated_counts
 
 
@@ -106,6 +106,9 @@ def test_config_defaults_from_empty_dict():
     ({"base": {"kind": "logistic", "params": {"seed": 1}}}, "base.params.seed"),
     ({"base": {"kind": "svm", "params": {"learning_rate": 0}}}, "base.params"),
     ({"base": {"kind": "forest", "params": {"max_depth": -1}}}, "base.params.max_depth"),
+    ({"base": {"kind": "svm", "params": {"regularization": -5.0}}},
+     "base.params.regularization"),
+    ({"base": {"kind": "logistic", "params": {"l2": -5}}}, "base.params.l2"),
     ({"data": {}}, "data"),
     ({"fractions": [0.5, -0.1, 0.6]}, "fractions[1]"),
     ({"fractions": [0.5, 0.5, 0.5]}, "fractions"),
@@ -115,8 +118,8 @@ def test_config_defaults_from_empty_dict():
         "string-widths", "int-widths", "float-epochs", "string-epochs", "string-tolerance",
         "int-out-dir", "negative-seed", "tolerance-range", "unknown-kind", "float-trees",
         "negative-epochs", "unknown-knn-param", "linear-seed", "zero-learning-rate",
-        "negative-depth", "no-data-source", "negative-fraction", "fraction-sum",
-        "two-fractions"])
+        "negative-depth", "negative-regularization", "negative-l2", "no-data-source",
+        "negative-fraction", "fraction-sum", "two-fractions"])
 def test_config_loader_rejects_what_it_does_not_know(edit, key, tmp_path, capsys):
     d = [] if edit is None else {"data": {"path": "d.csv"}, **edit}
     named = _named(key)
@@ -231,6 +234,18 @@ def test_settings_built_in_code_refuse_non_finite_values(cls, setting, rule, val
         cls(**{setting: value})
 
 
+@pytest.mark.parametrize("cls, setting, base", [(LinearConfig, "l2", "logistic"),
+                                                (SvmConfig, "regularization", "svm")])
+def test_a_negative_linear_penalty_is_refused_naming_the_setting(cls, setting, base):
+    # a negative penalty grows the weights every epoch instead of shrinking them
+    with pytest.raises(ValueError, match=f"^{cls.__name__}: {setting} must be non-negative, "
+                                         r"got -5\.0$"):
+        cls(**{setting: -5.0})
+    assert getattr(cls(**{setting: 0.0}), setting) == 0.0
+    with pytest.raises(ValueError, match=f"base_params .* {setting} must be non-negative"):
+        _small_cfg(base=base, base_params={setting: -5.0})
+
+
 def test_unknown_base_params_fail_when_the_config_is_built():
     with pytest.raises(ValueError, match=r"base_params \{'bogus': 1\} do not fit base 'svm': .*'bogus'"):
         ExperimentConfig(synthetic=SyntheticSpec(n_per_class=50, n_features=3), base="svm",
@@ -297,17 +312,23 @@ def test_raw_width_survives_feature_selection(tmp_path):
 def test_guided_pair_tags_come_from_the_routing_probabilities(monkeypatch):
     cfg = _small_cfg()
     prep = prepare(cfg)
-    seen = []
-    guided_fit = experiment.guided_fit
+    seen, rounds = [], []
+    guided_fit, run_all = experiment.guided_fit, experiment.run_all
 
-    def record(train, probs, val, val_probs, retrain, seed):
+    def record(train, probs, val, val_probs, retrain, seed, models_1_to_4):
         seen.append((train, probs, val, val_probs))
-        return guided_fit(train, probs, val, val_probs, retrain, seed=seed)
+        return guided_fit(train, probs, val, val_probs, retrain, seed=seed,
+                          models_1_to_4=models_1_to_4)
+
+    def record_round(jobs):
+        rounds.append(jobs)
+        return run_all(jobs)
 
     def refuse(*args):
         raise AssertionError("the base scored the difficult rows a second time")
 
     monkeypatch.setattr(experiment, "guided_fit", record)
+    monkeypatch.setattr(experiment, "run_all", record_round)
     monkeypatch.setattr(experiment, "_report_for", refuse)
     monkeypatch.setattr(experiment, "prepare", lambda cfg: prep)
     run_experiment(cfg, variants=("guided",))
@@ -318,6 +339,14 @@ def test_guided_pair_tags_come_from_the_routing_probabilities(monkeypatch):
         hard = ~prep.thresholds.easy(prep.routing[split])
         assert np.array_equal(data.ids, part.ids[hard])
         assert np.array_equal(got, prep.routing[split][hard])
+    # round 1: each pair Model's rows are its cells under the routing probabilities
+    pair_jobs = rounds[0]
+    assert pair_jobs  # fixture sanity: some pairing is trained
+    hard = ~prep.thresholds.easy(prep.routing["train"])
+    tags = confusion_partition(prep.routing["train"][hard], prep.train.labels[hard])
+    for job in pair_jobs:
+        k, rows = job.args[0], job.args[2]
+        assert np.array_equal(rows, np.flatnonzero(np.isin(tags, MODEL_PAIRS[k - 1])))
 
 
 # ------------------------------------------------------------ CLI

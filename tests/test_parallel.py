@@ -18,12 +18,19 @@ from guidedboost import parallel, pipeline
 from guidedboost.classifiers import linear
 from guidedboost.classifiers.forest import ForestConfig, train_random_forest
 from guidedboost.harness.config import ExperimentConfig, SyntheticSpec
-from guidedboost.harness.experiment import StageError, metrics_to_csv, run_experiment
+from guidedboost.harness import experiment
+from guidedboost.harness.experiment import (
+    VARIANTS,
+    StageError,
+    metrics_to_csv,
+    prepare,
+    run_experiment,
+)
 from guidedboost.nn import training
 from guidedboost.nn.network import encoder_spec, projection_spec
 from guidedboost.nn.training import TrainConfig
 from guidedboost.parallel import run_all
-from guidedboost.pipeline import RetrainConfig
+from guidedboost.pipeline import RetrainConfig, classic_fit, guided_fit
 from guidedboost.thresholding import ToleranceConfig
 
 TINY = ExperimentConfig(
@@ -145,21 +152,27 @@ def test_an_error_that_cannot_come_back_is_reported_with_its_traceback(monkeypat
     _assert_no_children_left()
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2], ids=["serial", "pooled"])
-def test_a_non_finite_pair_model_fails_its_stage_as_in_serial(n_cpus, monkeypatch):
+def _nan_at_tags(monkeypatch, tags):
+    """Make the networks of these seed tags (1-4 pairs, 5 the embedding
+    Models) fail with a non-finite monitored loss at epoch 1."""
     real_train_model, real_supcon = pipeline.train_model, training.supcon_loss
 
     def nan_loss(*args):
         return np.nan, real_supcon(*args)[1]
 
     def train_model(*args, seed):
-        if seed[1] != 3:
+        if seed[1] not in tags:
             return real_train_model(*args, seed=seed)
         with monkeypatch.context() as m:
             m.setattr(training, "supcon_loss", nan_loss)
             return real_train_model(*args, seed=seed)
 
     monkeypatch.setattr(pipeline, "train_model", train_model)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["serial", "pooled"])
+def test_a_non_finite_pair_model_fails_its_stage_as_in_serial(n_cpus, monkeypatch):
+    _nan_at_tags(monkeypatch, {3})
     with pytest.raises(StageError) as err:
         _with_cpus(monkeypatch, n_cpus, lambda: run_experiment(TINY))
     assert err.value.stage == "guided-retrain"
@@ -168,6 +181,110 @@ def test_a_non_finite_pair_model_fails_its_stage_as_in_serial(n_cpus, monkeypatc
         "train_model: monitored loss is nan at epoch 1"
     )
     assert isinstance(err.value.original, FloatingPointError)
+    _assert_no_children_left()
+
+
+# ------------------------------------------------ the fit schedule
+
+
+def _record_rounds(monkeypatch):
+    """Lists that fill with each ``experiment.run_all`` call's jobs, and with
+    a None per fork made in this process."""
+    rounds, forks, real_fork = [], [], os.fork
+
+    def record(jobs):
+        rounds.append(list(jobs))
+        return run_all(jobs)
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(experiment, "run_all", record)
+    monkeypatch.setattr(os, "fork", fork)
+    return rounds, forks
+
+
+def _calls(jobs):
+    return [(job.func, job.args[0]) for job in jobs]
+
+
+@pytest.mark.parametrize("variants", [VARIANTS, ("classic",), ("guided",)],
+                         ids=["both", "classic", "guided"])
+def test_the_stages_fit_in_two_flat_rounds(variants, monkeypatch):
+    """Round 1 the trained pair Models, round 2 the variants in VARIANTS
+    order; a round of one job runs here, unforked."""
+    rounds, forks = _record_rounds(monkeypatch)
+    result = _with_cpus(monkeypatch, 2, lambda: run_experiment(TINY, variants))
+    if "guided" in variants:
+        trained = [k for k, m in enumerate(result.guided.stage.models_1_to_4, 1) if m is not None]
+        assert len(trained) > 1  # fixture sanity: the pair round forks
+        assert _calls(rounds[0]) == [(pipeline._fit_pair, k) for k in trained]
+    fits = [(experiment._fit_variant, name) for name in VARIANTS if name in variants]
+    assert _calls(rounds[-1]) == fits
+    assert len(rounds) == 1 + ("guided" in variants)
+    assert len(forks) == sum(min(len(r), 2) for r in rounds if len(r) > 1)
+    _assert_no_children_left()
+
+
+def test_the_pair_round_holds_only_the_pairings_not_skipped(monkeypatch, caplog):
+    # every difficult row is predicted right, from inside the interval: the
+    # cells FP and FN are empty, so only Model 3 (TP+TN) trains
+    prep = prepare(TINY)
+    for split, part in (("train", prep.train), ("validation", prep.val)):
+        p = prep.routing[split].copy()
+        hard = ~prep.thresholds.easy(p)
+        assert p[hard].max() >= 0.5 > p[hard].min()  # fixture sanity
+        p[hard] = np.where(part.labels[hard] == 1, p[hard].max(), p[hard].min())
+        assert np.array_equal(~prep.thresholds.easy(p), hard)
+        prep.routing[split] = p
+    monkeypatch.setattr(experiment, "prepare", lambda cfg: prep)
+    rounds, forks = _record_rounds(monkeypatch)
+    result = _with_cpus(monkeypatch, 2, lambda: run_experiment(TINY))
+    assert _calls(rounds[0]) == [(pipeline._fit_pair, 3)]
+    assert [m is not None for m in result.guided.stage.models_1_to_4] == [
+        False, False, True, False]
+    assert sum("skipped, confusion cell empty" in r.message for r in caplog.records) == 3
+    assert len(forks) == 2  # the pair round of one job ran here
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["serial", "pooled"])
+def test_run_experiment_fits_the_stages_that_direct_calls_fit(n_cpus, monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: n_cpus)
+    result = run_experiment(TINY)
+    prep = prepare(TINY)
+    train_p, val_p = (prep.routing[split][~prep.thresholds.easy(prep.routing[split])]
+                      for split in ("train", "validation"))
+    direct = {
+        "guided": guided_fit(prep.difficult_train, train_p, prep.difficult_val, val_p,
+                             TINY.retrain, seed=TINY.seed),
+        "classic": classic_fit(prep.difficult_train, prep.difficult_val, TINY.retrain,
+                               seed=TINY.seed),
+    }
+    for name, stage in direct.items():
+        got = getattr(result, name).stage
+        assert [m is None for m in got.models_1_to_4] == [m is None for m in stage.models_1_to_4]
+        (arrays, states), (arrays_d, states_d) = _state(got), _state(stage)
+        assert len(arrays) == len(arrays_d)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, arrays_d))
+        assert states == states_d
+
+
+@pytest.mark.parametrize("tags, stage, network", [
+    ({5}, "classic-retrain", "classic_fit: classic model"),
+    ({3, 5}, "guided-retrain", "guided_fit: model 3"),
+], ids=["classic-and-model-5", "pair-and-classic"])
+def test_when_both_stages_fail_serial_and_pooled_raise_the_same_error(
+        tags, stage, network, monkeypatch):
+    """The serial order is the pairs, the classic stage, then Model 5."""
+    _nan_at_tags(monkeypatch, tags)
+    errors = []
+    for n_cpus in (1, 2):
+        with pytest.raises(StageError) as err:
+            _with_cpus(monkeypatch, n_cpus, lambda: run_experiment(TINY))
+        errors.append((err.value.stage, str(err.value)))
+    message = f"stage {stage}: {network}: train_model: monitored loss is nan at epoch 1"
+    assert errors == [(stage, message)] * 2
     _assert_no_children_left()
 
 
@@ -262,7 +379,7 @@ def test_no_descriptor_is_left_open(monkeypatch):
 
 def test_no_fork_runs_beside_a_live_thread(monkeypatch, tmp_path):
     """Thread pools (svm epochs, network passes) are joined before any fork,
-    in the parent and in the workers that fork the pair Models."""
+    and every fork is made by the calling process, never by a worker."""
     real_fork, log = os.fork, tmp_path / "forks"
 
     def fork():
@@ -277,8 +394,8 @@ def test_no_fork_runs_beside_a_live_thread(monkeypatch, tmp_path):
     assert threading.active_count() == 1
     result = _with_cpus(monkeypatch, 2, lambda: run_experiment(replace(TINY, base="svm")))
     assert any(m is not None for m in result.guided.stage.models_1_to_4)
-    forking = set(log.read_text().split())
-    assert str(os.getpid()) in forking and len(forking) > 1  # nested forks ran too
+    forks = log.read_text().split()
+    assert forks == [str(os.getpid())] * 4  # two rounds of two workers, none nested
     _assert_no_children_left()
 
 
